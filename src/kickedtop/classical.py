@@ -14,6 +14,8 @@ exactly (up to floating-point roundoff, no renormalisation is applied).
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -117,20 +119,27 @@ def classical_step(state, params: KickParams) -> np.ndarray:
 def evolve_trajectory(start, params: KickParams, steps: int) -> np.ndarray:
     """Iterate the map; returns shape (steps + 1, 3) including the start.
 
-    Row i + 1 is exactly classical_step(row i, params).
+    Row i + 1 is exactly classical_step(row i, params): the loop runs the
+    same float64 operations on Python floats, without per-step array
+    overhead, and math.cos/math.sin round as numpy's float64 cos/sin do.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     start = np.asarray(start, dtype=np.float64)
     if start.shape != (3,):
         raise ValueError(f"start must have shape (3,), got {start.shape}")
-    out = np.empty((steps + 1, 3))
-    out[0] = start
-    state = start
-    for i in range(1, steps + 1):
-        state = classical_step(state, params)
-        out[i] = state
-    return out
+    cos, sin = math.cos, math.sin
+    kappa = params.kappa
+    x, y, z = start.tolist()
+    out = array("d", (x, y, z))
+    extend = out.extend
+    for _ in range(steps):
+        phase = kappa * x
+        c = cos(phase)
+        s = sin(phase)
+        x, y, z = z * c + y * s, y * c - z * s, -x
+        extend((x, y, z))
+    return np.frombuffer(out).reshape(steps + 1, 3)
 
 
 PORTRAIT_DTYPE = np.dtype(
@@ -151,21 +160,23 @@ def phase_portrait(initials, params: KickParams, steps: int) -> np.ndarray:
 
     initials: sequence of (theta, phi) pairs.  Returns a structured array
     with fields traj_id, step, theta, phi, x, y, z, ordered by trajectory
-    and then by step.
+    and then by step.  All trajectories advance together as one batch, so
+    each one equals evolve_trajectory from its start.
     """
-    initials = [SphericalPoint(float(t), float(p)) for t, p in initials]
-    records = np.empty(len(initials) * (steps + 1), dtype=PORTRAIT_DTYPE)
-    row = 0
-    for traj_id, point in enumerate(initials):
-        path = evolve_trajectory(spherical_to_cartesian(point), params, steps)
-        theta, phi = cartesian_to_spherical(path)
-        block = records[row : row + steps + 1]
-        block["traj_id"] = traj_id
-        block["step"] = np.arange(steps + 1)
-        block["theta"] = theta
-        block["phi"] = phi
-        block["x"] = path[:, 0]
-        block["y"] = path[:, 1]
-        block["z"] = path[:, 2]
-        row += steps + 1
+    angles = np.array([(float(t), float(p)) for t, p in initials]).reshape(-1, 2)
+    count = angles.shape[0]
+    paths = np.empty((steps + 1, count, 3))
+    paths[0] = spherical_to_cartesian(angles)
+    for t in range(steps):
+        paths[t + 1] = classical_step(paths[t], params)
+    flat = paths.transpose(1, 0, 2).reshape(-1, 3)
+    theta, phi = cartesian_to_spherical(flat)
+    records = np.empty(flat.shape[0], dtype=PORTRAIT_DTYPE)
+    records["traj_id"] = np.repeat(np.arange(count), steps + 1)
+    records["step"] = np.tile(np.arange(steps + 1), count)
+    records["theta"] = theta
+    records["phi"] = phi
+    records["x"] = flat[:, 0]
+    records["y"] = flat[:, 1]
+    records["z"] = flat[:, 2]
     return records

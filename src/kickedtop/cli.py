@@ -3,8 +3,8 @@
 Options may come from flags, from a JSON config file (--config), or both;
 flags win over the file, which wins over built-in defaults.  Each run
 writes <kind>.csv and <kind>.meta.json into --out and prints a one-line
-summary.  Invalid parameters exit with status 1 and a diagnostic on
-stderr.
+summary.  Invalid parameters, unreadable files and the package's own
+numerical failures exit with status 1 and a one-line "error:" on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +13,26 @@ import argparse
 import json
 import sys
 
-from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
+from .experiments import (
+    EXPERIMENT_KINDS,
+    ExperimentConfig,
+    NotEquilibratedError,
+    WindowTooShortError,
+    run_experiment,
+)
+from .lyapunov import DegenerateTangentError
+from .quantum import NormDriftError
+
+# failures reported as a one-line "error:" with exit status 1: bad input,
+# unreadable files, and the package's own numerical failures
+_REPORTED_ERRORS = (
+    ValueError,
+    OSError,
+    NotEquilibratedError,
+    WindowTooShortError,
+    DegenerateTangentError,
+    NormDriftError,
+)
 
 # flags whose JSON/CLI form is a list but whose config form is a tuple
 _TUPLE_FIELDS = ("center", "grid", "window", "j_list", "initials")
@@ -100,7 +119,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         dataset = run_experiment(config)
         csv_path, meta_path = dataset.write(args.out)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except _REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(_summary_line(dataset))

@@ -349,23 +349,11 @@ class Dataset:
         with open(csv_path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_format_cell(cell) for cell in row])
+            writer.writerows(self.rows)
         with open(meta_path, "w") as handle:
             json.dump(self.meta, handle, indent=2, sort_keys=True, default=_json_safe)
             handle.write("\n")
         return csv_path, meta_path
-
-
-def _format_cell(cell):
-    """Stable text form: shortest round-trip repr for floats, plain ints."""
-    if isinstance(cell, (bool, np.bool_)):
-        return str(bool(cell))
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    if isinstance(cell, (float, np.floating)):
-        return repr(float(cell))
-    return str(cell)
 
 
 def _json_safe(value):
@@ -408,7 +396,7 @@ def _run_phase_portrait(config: ExperimentConfig) -> Dataset:
         thetas, phis = grid_centers(*grid)
         initials = [(float(t), float(p)) for t in thetas for p in phis]
     records = phase_portrait(initials, KickParams(kappa), steps)
-    rows = [tuple(rec) for rec in records]
+    rows = records.tolist()
     meta = _base_meta(config.kind, {
         "kappa": kappa, "steps": steps, "initials": initials, "seed": config.seed,
         "note": "grid defaults reconstruct the portrait; initials override it",
@@ -423,7 +411,7 @@ def _run_lyapunov(config: ExperimentConfig) -> Dataset:
     estimate = benettin_lyapunov(
         SphericalPoint(*config.center), KickParams(kappa), n_blocks, steps_per_block
     )
-    rows = [(i + 1, estimate.block_series[i]) for i in range(estimate.n)]
+    rows = list(enumerate(estimate.block_series.tolist(), start=1))
     meta = _base_meta(config.kind, {
         "kappa": kappa, "center": list(config.center),
         "n_blocks": estimate.n, "steps_per_block": estimate.s,
@@ -438,12 +426,10 @@ def _run_entropy_dynamics(config: ExperimentConfig) -> Dataset:
     steps = config.steps if config.steps is not None else 100
     state = coherent_state(j, *config.center)
     bloch = evolve_expectations(state, floquet_unitary(j, kappa), steps)
-    rows = []
-    for step, r in enumerate(bloch):
-        rows.append((
-            step, r[0], r[1], r[2],
-            linear_entropy(r), von_neumann_entropy_single_spin(r),
-        ))
+    rows = [
+        (step, *r.tolist(), linear_entropy(r), von_neumann_entropy_single_spin(r))
+        for step, r in enumerate(bloch)
+    ]
     s_lin = np.array([row[4] for row in rows])
     meta = _base_meta(config.kind, {
         "kappa": kappa, "j": j, "steps": steps, "center": list(config.center),
@@ -474,7 +460,7 @@ def _run_mi_dynamics(config: ExperimentConfig) -> Dataset:
     count = config.count if config.count is not None else 1000
     steps = config.steps if config.steps is not None else 100
     mi = _mi_series(config, kappa, j, count, steps, config.seed)
-    rows = list(enumerate(mi))
+    rows = list(enumerate(mi.tolist()))
     meta = _base_meta(config.kind, {
         "kappa": kappa, "j": j, "count": count, "steps": steps,
         "center": list(config.center), "k": config.k,
@@ -542,16 +528,13 @@ def _run_map(config: ExperimentConfig) -> Dataset:
         config.kind, kappa=kappa, j=j, grid=grid, count=count, window=window,
         spread1=config.spread1, k=config.k, seed=config.seed,
     )
-    n_phi = grid[1]
-    rows = []
-    for cell_index in range(grid[0] * n_phi):
-        i, kk = cell_index // n_phi, cell_index % n_phi
-        rows.append((
-            cell_index,
-            result.theta_centers[i],
-            result.phi_centers[kk],
-            result.values[i, kk],
-        ))
+    thetas = result.theta_centers.tolist()
+    phis = result.phi_centers.tolist()
+    values = result.values.ravel().tolist()
+    rows = [
+        (cell_index, thetas[cell_index // grid[1]], phis[cell_index % grid[1]], value)
+        for cell_index, value in enumerate(values)
+    ]
     meta = _base_meta(config.kind, {
         "kappa": kappa, "j": j, "grid": list(grid), "count": count,
         "window": list(result.window), "k": config.k,
@@ -566,7 +549,7 @@ def _run_map(config: ExperimentConfig) -> Dataset:
 def _run_vn_vs_linear(config: ExperimentConfig) -> Dataset:
     # closed-form comparison of the two single-spin entropy measures
     rows = []
-    for r in np.linspace(0.0, 1.0, 101):
+    for r in np.linspace(0.0, 1.0, 101).tolist():
         bloch = np.array([0.0, 0.0, r])
         rows.append((r, linear_entropy(bloch), von_neumann_entropy_single_spin(bloch)))
     meta = _base_meta(config.kind, {"seed": config.seed})
@@ -583,7 +566,7 @@ def _run_mi_selftest(config: ExperimentConfig) -> Dataset:
         expected = -0.5 * np.log(1.0 - rho * rho)
         for k in (config.k, 10):
             est = ksg_mi(samples, k=k)
-            rows.append((f"gauss_rho_{rho}", rho, est.n, k, est.value, expected))
+            rows.append((f"gauss_rho_{rho}", rho, est.n, k, float(est.value), float(expected)))
     meta = _base_meta(config.kind, {"count": count, "k": config.k, "seed": config.seed})
     return Dataset(
         config.kind, ("case", "rho", "n", "k", "estimate", "expected"), rows, meta

@@ -13,10 +13,19 @@ with alpha_i the pre-normalisation length of the leading vector at block i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .classical import KickParams, SphericalPoint, classical_step, spherical_to_cartesian
+# classical_step is unused here; it stays importable under this name because
+# perfbench/tracer.py patches it (and jacobian) on this module
+from .classical import (
+    KickParams,
+    SphericalPoint,
+    classical_step,  # noqa: F401
+    evolve_trajectory,
+    spherical_to_cartesian,
+)
 
 __all__ = [
     "DegenerateTangentError",
@@ -34,6 +43,10 @@ _NORM_FLOOR = 1e-300
 # Initial points closer to a pole than this have no well-defined coordinate
 # frame for the seed tangent vectors.
 _POLE_TOL = 1e-8
+
+# The reference orbit and its Jacobians are built this many steps at a time,
+# so memory stays flat however long the run.
+_CHUNK_STEPS = 4096
 
 
 class DegenerateTangentError(RuntimeError):
@@ -64,24 +77,40 @@ class LyapunovEstimate:
 
 
 def jacobian(state, params: KickParams) -> np.ndarray:
-    """3x3 derivative of classical_step at `state` (shape (3,)).
+    """3x3 derivative of classical_step at `state`.
 
-    Closed form; the x column picks up the kick-phase dependence.  Its
-    determinant is exactly 1 (a product of rotations with a shear that
-    expands the cofactor structure to unity).
+    state has shape (..., 3); returns shape (..., 3, 3).  Closed form; the
+    x column picks up the kick-phase dependence.  Its determinant is exactly
+    1 (a product of rotations with a shear that expands the cofactor
+    structure to unity).
     """
-    x, y, z = np.asarray(state, dtype=np.float64)
-    a = params.kappa * x
+    state = np.asarray(state, dtype=np.float64)
+    x = state[..., 0]
+    y = state[..., 1]
+    z = state[..., 2]
+    k = params.kappa
+    a = k * x
     c = np.cos(a)
     s = np.sin(a)
-    k = params.kappa
-    return np.array(
-        [
-            [k * (y * c - z * s), s, c],
-            [-k * (y * s + z * c), c, -s],
-            [-1.0, 0.0, 0.0],
-        ]
-    )
+    out = np.zeros(state.shape[:-1] + (3, 3))
+    out[..., 0, 0] = k * (y * c - z * s)
+    out[..., 0, 1] = s
+    out[..., 0, 2] = c
+    out[..., 1, 0] = -k * (y * s + z * c)
+    out[..., 1, 1] = c
+    out[..., 1, 2] = -s
+    out[..., 2, 0] = -1.0
+    return out
+
+
+def _orbit_jacobians(state, params: KickParams, steps: int):
+    """Yield the Jacobian at each of the first `steps` points of the orbit."""
+    while steps > 0:
+        chunk = min(_CHUNK_STEPS, steps)
+        path = evolve_trajectory(state, params, chunk)
+        yield from jacobian(path[:-1], params)
+        state = path[-1]
+        steps -= chunk
 
 
 def initial_tangent_frame(point: SphericalPoint) -> TangentFrame:
@@ -114,7 +143,10 @@ def benettin_lyapunov(
 
     The reference orbit starts at `start`; the tangent pair starts as the
     local (theta, phi) frame.  Norms are taken in the Euclidean metric of the
-    embedding space.
+    embedding space.  The reference orbit and its Jacobians are built in
+    chunks; the tangent pair then advances by one 3x3 @ 3x2 matmul per step,
+    kept because a hand-written product would round differently from BLAS
+    and change the output bytes.
     """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
@@ -123,12 +155,12 @@ def benettin_lyapunov(
     frame = initial_tangent_frame(start)
     state = spherical_to_cartesian(start)
     w = np.column_stack([frame.w1, frame.w2])
+    jacobians = _orbit_jacobians(state, params, n_blocks * steps_per_block)
     log_sum = 0.0
     block_series = np.empty(n_blocks)
     for block in range(n_blocks):
-        for _ in range(steps_per_block):
-            w = jacobian(state, params) @ w
-            state = classical_step(state, params)
+        for jac in islice(jacobians, steps_per_block):
+            w = jac @ w
         alpha = float(np.linalg.norm(w[:, 0]))
         if not alpha > _NORM_FLOOR:
             raise DegenerateTangentError(

@@ -169,6 +169,22 @@ class TestEvolveTrajectory:
         )
         assert abs(np.linalg.norm(path[-1]) - 1.0) < 1e-12
 
+    def test_million_step_norm_drift(self):
+        # Each step is a rotation evaluated with a few roundings per
+        # component, each at most u = 2**-53 ~ 1.1e-16 relative, and cos/sin
+        # good to about an ulp.  Round-to-nearest errors carry no
+        # sign bias, so |v| - 1 performs a random walk of size ~ c u sqrt(N)
+        # with c of order a few: ~1e-13 after N = 1e6 steps.  1e-10 is
+        # three orders above that yet below the worst-case linear build-up
+        # N c u ~ 3e-10, so it catches any systematic per-step drift.
+        path = evolve_trajectory(
+            spherical_to_cartesian(SphericalPoint(3 * np.pi / 4, 3 * np.pi / 4)),
+            KickParams(6.0),
+            1_000_000,
+        )
+        drift = np.abs(np.sqrt(np.einsum("ij,ij->i", path, path)) - 1.0)
+        assert drift.max() < 1e-10
+
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
             evolve_trajectory(np.array([0.0, 0.0, 1.0]), KickParams(1.0), -1)
@@ -208,6 +224,29 @@ class TestPhasePortrait:
         occupied = np.zeros((20, 20), dtype=bool)
         occupied[ti, pi_] = True
         assert 1.0 - occupied.mean() < 0.10
+
+    @pytest.mark.parametrize("kappa", [0.0, 2.5, 6.0])
+    def test_each_trajectory_matches_evolve_trajectory(self, kappa):
+        # the batch advances every start together; each orbit must be the
+        # serial one bit for bit, including near-pole and equatorial starts
+        initials = [
+            (1e-6, 0.3),
+            (np.pi / 2, 0.0),
+            (2.2, 4.4),
+            (3 * np.pi / 4, 3 * np.pi / 4),
+            (np.pi - 1e-6, 6.0),
+        ]
+        params = KickParams(kappa)
+        records = phase_portrait(initials, params, 300)
+        for traj_id, point in enumerate(initials):
+            block = records[records["traj_id"] == traj_id]
+            path = evolve_trajectory(spherical_to_cartesian(point), params, 300)
+            theta, phi = cartesian_to_spherical(path)
+            np.testing.assert_array_equal(block["step"], np.arange(301))
+            xyz = np.column_stack([block["x"], block["y"], block["z"]])
+            np.testing.assert_array_equal(xyz, path)
+            np.testing.assert_array_equal(block["theta"], theta)
+            np.testing.assert_array_equal(block["phi"], phi)
 
     def test_empty_initials_yield_empty_portrait(self):
         records = phase_portrait([], KickParams(1.0), 5)

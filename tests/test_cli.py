@@ -107,3 +107,22 @@ class TestFailurePaths:
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err
+
+    def test_numerical_failure_is_one_line_error(self, tmp_path, capsys):
+        # at kappa 0 the MI series never equilibrates: NotEquilibratedError
+        code = main(
+            [
+                "teq-scaling",
+                "--kappa", "0",
+                "--j-list", "10", "20",
+                "--count", "20",
+                "--steps", "20",
+                "--out", str(tmp_path),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "Traceback" not in captured.err

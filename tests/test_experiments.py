@@ -1,5 +1,6 @@
 """Tests for equilibration analysis, maps, and the experiment runners."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from kickedtop import (
     spherical_to_cartesian,
     thermo_limit_entropy,
 )
+from kickedtop.experiments import EXPERIMENT_KINDS
 
 
 class TestEstimateTeq:
@@ -252,7 +254,36 @@ class TestRunners:
             run_experiment(ExperimentConfig(kind="teq-scaling", kappa=2.5))
 
 
+# one small config per experiment kind
+SMALL_CONFIGS = {
+    "phase-portrait": dict(kappa=2.5, grid=(2, 2), steps=3),
+    "lyapunov": dict(kappa=6.0, n_blocks=5, steps_per_block=3),
+    "entropy-dynamics": dict(kappa=2.5, j=4, steps=5),
+    "mi-dynamics": dict(kappa=6.0, j=100, count=30, steps=4),
+    "teq-scaling": dict(kappa=2.5, j_list=(25, 50), count=64, steps=120),
+    "entropy-map": dict(kappa=2.5, j=4, grid=(2, 2), window=(5, 15)),
+    "thermo-map": dict(kappa=2.5, j=10, grid=(2, 2), count=20, window=(2, 4)),
+    "mi-map": dict(kappa=2.5, j=100, grid=(2, 2), count=30, window=(2, 4)),
+    "vn-vs-linear": dict(),
+    "mi-selftest": dict(count=60),
+}
+
+
 class TestDatasetOutput:
+    def test_small_configs_cover_every_kind(self):
+        assert set(SMALL_CONFIGS) == set(EXPERIMENT_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
+    def test_rows_hold_native_scalars(self, kind):
+        # csv.writer prints these exactly (str for int, repr for float);
+        # a numpy scalar would print as e.g. "np.float64(0.5)"
+        ds = run_experiment(ExperimentConfig(kind=kind, **SMALL_CONFIGS[kind]))
+        assert ds.rows
+        for row in ds.rows:
+            assert len(row) == len(ds.columns)
+            for cell in row:
+                assert type(cell) in (int, float, str, bool), (row, type(cell))
+
     def test_written_files_are_byte_reproducible(self, tmp_path):
         cfg = dict(kind="mi-dynamics", kappa=6.0, j=100, count=50, steps=8, seed=1)
         paths = []
@@ -282,3 +313,38 @@ class TestDatasetOutput:
         assert meta["kappa"] == 2.5
         assert meta["window"] == [5, 15]
         assert "units" in meta and "version" in meta
+
+
+# sha256 of (CSV, .meta.json) for small runs, recorded before the orbit
+# kernels were rewritten; any change to the output bytes shows up here
+PINNED_DIGESTS = {
+    "portrait-grid": (
+        dict(kind="phase-portrait", kappa=2.5, grid=(4, 5), steps=50),
+        "0f11a2aaa5cb7e3cbd402ce3467b955265a309378a552e8ed39bc750e866a385",
+        "b0d9ec5d745f17fb9d2162f76fb3ce5a0708372c13a50d24683511406cc3fdee",
+    ),
+    "portrait-chaotic": (
+        dict(kind="phase-portrait", kappa=6.0, grid=(3, 3), steps=300),
+        "fb04239cbc4610cc0027cf356f378bedbfd18014bc948e580e9f48a859a9ca42",
+        "b627aa1720ece3a7a434677e080aa03f9f5412a0a003d7a2330bf02e82f88c07",
+    ),
+    "lyapunov-chaotic": (
+        dict(kind="lyapunov", kappa=6.0, n_blocks=1000, steps_per_block=10),
+        "21c41655d393dee88957a3f10efbcf3f06ce1030aa9649d51f455b59795b8da6",
+        "28402d4c583a1d30370a440823b8ede17381954f44dde524aa97a6d9732d0f97",
+    ),
+    "lyapunov-long-blocks": (
+        dict(kind="lyapunov", kappa=1.0, center=(1.0, 0.3), n_blocks=3, steps_per_block=5000),
+        "3620ffcf40d6212ccd9f9579c987ab4c4bf4169a6a4fb9059fdab863c7fab71c",
+        "11931576db966c12d4ca0fb36bcf4cb7f4f3beb9178560ce95f8c50d90cd39cf",
+    ),
+}
+
+
+class TestPinnedOutputBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_csv_and_meta_digests(self, tmp_path, name):
+        cfg, csv_digest, meta_digest = PINNED_DIGESTS[name]
+        csv_path, meta_path = run_experiment(ExperimentConfig(**cfg)).write(tmp_path)
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(meta_path.read_bytes()).hexdigest() == meta_digest

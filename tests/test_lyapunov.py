@@ -12,6 +12,7 @@ from kickedtop import (
     jacobian,
     spherical_to_cartesian,
 )
+from kickedtop import lyapunov
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -21,6 +22,45 @@ def random_states_and_kappas(n, seed=0):
     v = rng.normal(size=(n, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v, rng.uniform(0.0, 6.0, size=n)
+
+
+def closed_form_jacobian(state, params):
+    """Single-state Jacobian built entry by entry, as a 3x3 literal."""
+    x, y, z = np.asarray(state, dtype=np.float64)
+    k = params.kappa
+    c = np.cos(k * x)
+    s = np.sin(k * x)
+    return np.array(
+        [
+            [k * (y * c - z * s), s, c],
+            [-k * (y * s + z * c), c, -s],
+            [-1.0, 0.0, 0.0],
+        ]
+    )
+
+
+def stepwise_block_series(start, params, n_blocks, steps_per_block):
+    """Benettin's loop one step at a time: a Jacobian, then a map step.
+
+    The chunked kernel must reproduce this bit for bit; the tangent update
+    is the same 3x3 @ 3x2 matmul, so both round identically.
+    """
+    frame = initial_tangent_frame(start)
+    state = spherical_to_cartesian(start)
+    w = np.column_stack([frame.w1, frame.w2])
+    log_sum = 0.0
+    series = np.empty(n_blocks)
+    for block in range(n_blocks):
+        for _ in range(steps_per_block):
+            w = closed_form_jacobian(state, params) @ w
+            state = classical_step(state, params)
+        alpha = float(np.linalg.norm(w[:, 0]))
+        w[:, 0] /= alpha
+        w[:, 1] -= (w[:, 0] @ w[:, 1]) * w[:, 0]
+        w[:, 1] /= float(np.linalg.norm(w[:, 1]))
+        log_sum += np.log(alpha)
+        series[block] = log_sum / ((block + 1) * steps_per_block)
+    return series
 
 
 class TestJacobian:
@@ -50,6 +90,23 @@ class TestJacobian:
                 ) / (2 * h)
             dev = np.max(np.abs(jacobian(state, params) - fd))
             assert dev < 1e-6
+
+    def test_batched_rows_match_single_state_calls(self):
+        states, kappas = random_states_and_kappas(50, seed=5)
+        for kappa in (0.0, 2.5, float(kappas[0]), 6.0):
+            params = KickParams(kappa)
+            batch = jacobian(states, params)
+            assert batch.shape == (50, 3, 3)
+            for state, jac in zip(states, batch):
+                np.testing.assert_array_equal(jac, jacobian(state, params))
+                np.testing.assert_array_equal(jac, closed_form_jacobian(state, params))
+
+    def test_batch_shape_follows_leading_dimensions(self):
+        states, _ = random_states_and_kappas(12, seed=6)
+        batch = jacobian(states.reshape(3, 4, 3), KickParams(2.5))
+        assert batch.shape == (3, 4, 3, 3)
+        flat = jacobian(states, KickParams(2.5))
+        np.testing.assert_array_equal(batch.reshape(12, 3, 3), flat)
 
 
 class TestInitialTangentFrame:
@@ -158,6 +215,35 @@ class TestBenettin:
         b = benettin_lyapunov(ic, KickParams(2.5), 100, 5)
         assert a.lam == b.lam
         assert np.array_equal(a.block_series, b.block_series)
+
+    @pytest.mark.parametrize(
+        "start,kappa,n_blocks,steps_per_block",
+        [
+            # chaotic, 5000 steps: one full chunk plus a partial one
+            (SphericalPoint(3 * np.pi / 4, 3 * np.pi / 4), 6.0, 500, 10),
+            (SphericalPoint(np.pi / 5, np.pi / 10), 2.5, 900, 7),
+            (SphericalPoint(2.0, 4.0), 0.0, 7, 300),
+            # blocks longer than a chunk, on a regular orbit so the
+            # unrenormalised tangent vectors stay finite
+            (SphericalPoint(1.0, 0.3), 1.0, 3, lyapunov._CHUNK_STEPS + 904),
+        ],
+    )
+    def test_matches_stepwise_loop_bit_for_bit(self, start, kappa, n_blocks, steps_per_block):
+        assert (n_blocks * steps_per_block) % lyapunov._CHUNK_STEPS != 0
+        params = KickParams(kappa)
+        est = benettin_lyapunov(start, params, n_blocks, steps_per_block)
+        expected = stepwise_block_series(start, params, n_blocks, steps_per_block)
+        np.testing.assert_array_equal(est.block_series, expected)
+
+    def test_chunk_boundaries_inside_blocks(self, monkeypatch):
+        # a chunk shorter than, and coprime to, the block puts chunk edges
+        # at every offset within a block
+        monkeypatch.setattr(lyapunov, "_CHUNK_STEPS", 7)
+        start, params = SphericalPoint(0.8, 0.9), KickParams(6.0)
+        est = benettin_lyapunov(start, params, 40, 10)
+        np.testing.assert_array_equal(
+            est.block_series, stepwise_block_series(start, params, 40, 10)
+        )
 
     @pytest.mark.parametrize("n_blocks,steps", [(0, 5), (5, 0), (-1, 1)])
     def test_rejects_invalid_block_structure(self, n_blocks, steps):
