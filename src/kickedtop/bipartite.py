@@ -26,6 +26,8 @@ __all__ = [
     "SampleSeries",
     "bipartite_step",
     "sample_cap",
+    "sample_pairs",
+    "pair_x_steps",
     "evolve_ensemble",
 ]
 
@@ -132,32 +134,68 @@ class CapDistribution:
         return (t0 - half, t0 + half), (p0 - half, p0 + half)
 
 
-def _draw_cap_point(dist: CapDistribution, rng: np.random.Generator) -> SphericalPoint:
-    """One area-uniform draw: uniform in cos(theta), uniform in phi."""
-    (t_lo, t_hi), (p_lo, p_hi) = dist.bounds()
-    cos_hi, cos_lo = np.cos(t_hi), np.cos(t_lo)
-    theta = float(np.arccos(rng.uniform(cos_hi, cos_lo)))
-    phi = float(rng.uniform(p_lo, p_hi))
-    return SphericalPoint(theta, phi)
-
-
 def sample_cap(dist: CapDistribution, count: int, seed) -> np.ndarray:
     """count area-uniform points from the patch; rows are (theta, phi).
 
-    seed may be an int or a numpy SeedSequence.  Point i comes from its own
-    child stream keyed by i, so per-point draws are reproducible no matter
-    how the ensemble is later chunked or parallelised.
+    Each point is uniform in cos(theta) and uniform in phi.  seed may be an
+    int or a numpy SeedSequence.  Point i comes from its own child stream
+    keyed by i, so per-point draws are reproducible no matter how the
+    ensemble is later chunked or parallelised.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    out = np.empty((count, 2))
+    (t_lo, t_hi), (p_lo, p_hi) = dist.bounds()
+    cos_hi, cos_lo = np.cos(t_hi), np.cos(t_lo)
+    cos_theta = np.empty(count)
+    phi = np.empty(count)
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=root.entropy, spawn_key=root.spawn_key + (i,)
         ))
-        out[i] = _draw_cap_point(dist, rng)
-    return out
+        cos_theta[i] = rng.uniform(cos_hi, cos_lo)
+        phi[i] = rng.uniform(p_lo, p_hi)
+    return np.column_stack([np.arccos(cos_theta), phi])
+
+
+def sample_pairs(dist1: CapDistribution, dist2: CapDistribution, j, count: int, seed):
+    """Initial unit vectors (n1, n2), each (count, 3), of a paired ensemble.
+
+    Subsystem i starts from an area-uniform draw of dist_i; the two draws
+    use independent child streams of `seed`.
+    """
+    _unit_j(j)
+    if count < _MIN_ENSEMBLE:
+        raise ValueError(f"count must be >= {_MIN_ENSEMBLE}, got {count}")
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    child1, child2 = root.spawn(2)
+    n1 = spherical_to_cartesian(sample_cap(dist1, count, child1))
+    n2 = spherical_to_cartesian(sample_cap(dist2, count, child2))
+    return n1, n2
+
+
+def pair_x_steps(n1: np.ndarray, n2: np.ndarray, params: KickParams, j, steps: int):
+    """Yield the normalised x components (x1, x2) after 0..steps periods.
+
+    n1 and n2 are (N, 3) arrays of paired unit vectors, any number of
+    independent ensembles stacked; each pair advances by the shared-kick
+    map and never interacts with another, so a stacked ensemble yields the
+    same bits as each of its parts alone.  Only the current step is held.
+    """
+    j = _unit_j(j)
+    w1 = 0.5 / j
+    w2 = (j - 0.5) / j
+    kappa = params.kappa
+    x1 = w1 * n1[:, 0]
+    x2 = w2 * n2[:, 0]
+    yield x1, x2
+    for _ in range(steps):
+        phase = kappa * (x1 + x2)
+        n1 = kick_rotation(n1, phase)
+        n2 = kick_rotation(n2, phase)
+        x1 = w1 * n1[:, 0]
+        x2 = w2 * n2[:, 0]
+        yield x1, x2
 
 
 @dataclass(frozen=True)
@@ -216,26 +254,12 @@ def evolve_ensemble(
     use independent child streams of `seed`.  Trajectories never interact,
     so the series is reproducible trajectory by trajectory.
     """
-    j = _unit_j(j)
-    if count < _MIN_ENSEMBLE:
-        raise ValueError(f"count must be >= {_MIN_ENSEMBLE}, got {count}")
+    n1, n2 = sample_pairs(dist1, dist2, j, count, seed)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    child1, child2 = root.spawn(2)
-    n1 = spherical_to_cartesian(sample_cap(dist1, count, child1))
-    n2 = spherical_to_cartesian(sample_cap(dist2, count, child2))
-    w1 = 0.5 / j
-    w2 = (j - 0.5) / j
     x1 = np.empty((steps + 1, count))
     x2 = np.empty((steps + 1, count))
-    x1[0] = w1 * n1[:, 0]
-    x2[0] = w2 * n2[:, 0]
-    kappa = params.kappa
-    for t in range(1, steps + 1):
-        phase = kappa * (w1 * n1[:, 0] + w2 * n2[:, 0])
-        n1 = kick_rotation(n1, phase)
-        n2 = kick_rotation(n2, phase)
-        x1[t] = w1 * n1[:, 0]
-        x2[t] = w2 * n2[:, 0]
-    return SampleSeries(x1=x1, x2=x2, j=j, kappa=kappa)
+    for t, (a, b) in enumerate(pair_x_steps(n1, n2, params, j, steps)):
+        x1[t] = a
+        x2[t] = b
+    return SampleSeries(x1=x1, x2=x2, j=_unit_j(j), kappa=params.kappa)

@@ -34,9 +34,6 @@ _REPORTED_ERRORS = (
     NormDriftError,
 )
 
-# flags whose JSON/CLI form is a list but whose config form is a tuple
-_TUPLE_FIELDS = ("center", "grid", "window", "j_list", "initials")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -81,14 +78,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                  "k", "window", "n_blocks", "steps_per_block", "spread1", "seed"):
         value = getattr(args, name)
         if value is not None:
-            settings[name] = value
-    for name in _TUPLE_FIELDS:
-        if settings.get(name) is not None:
-            value = settings[name]
-            if name == "initials":
-                value = tuple(tuple(point) for point in value)
-            else:
-                value = tuple(value)
             settings[name] = value
     unknown = set(settings) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:

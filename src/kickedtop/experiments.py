@@ -15,12 +15,20 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bipartite import CapDistribution, evolve_ensemble, sample_cap
+from .bipartite import (  # evolve_ensemble: perfbench's tracer patches it here
+    CapDistribution,
+    evolve_ensemble,
+    pair_x_steps,
+    sample_cap,
+    sample_pairs,
+)
 from .classical import (
     KickParams,
     SphericalPoint,
@@ -188,45 +196,137 @@ class EquilibriumMap:
     failures: list = field(default_factory=list)
 
 
-def _window_mean(series: np.ndarray, window) -> float:
-    lo, hi = int(window[0]), int(window[1])
-    if not 0 <= lo < hi < series.shape[0]:
-        raise ValueError(f"window {window!r} outside series of length {series.shape[0]}")
-    return float(np.mean(series[lo : hi + 1]))
+def _record(failures, cell, exc: ValueError):
+    """Note a cell's failure, or re-raise it when the caller keeps no list."""
+    if failures is None:
+        raise exc
+    failures.append((cell, str(exc)))
 
 
-def _quantum_entropy_cell(center, kappa, j, window):
-    state = coherent_state(j, *center)
-    unitary = floquet_unitary(j, kappa)
-    bloch = evolve_expectations(state, unitary, int(window[1]))
-    s_lin = 0.5 * (1.0 - np.einsum("ij,ij->i", bloch, bloch))
-    return _window_mean(np.maximum(s_lin, 0.0), window)
+def _stacked_windows(states, observe, cells, count, window, failures=None):
+    """observe(state, part) of each stacked ensemble at steps window[0]..window[1].
+
+    `states` yields the stacked state after 0, 1, ..., window[1] periods;
+    ensemble r of `cells` owns rows part = r*count : (r+1)*count.  Returns a
+    (len(cells), window length) array.  An ensemble whose observable raises
+    ValueError stays NaN from then on and is recorded in `failures`.
+    """
+    lo, hi = window
+    values = np.full((len(cells), hi - lo + 1), np.nan)
+    live = list(range(len(cells)))
+    for t, state in enumerate(states):
+        if t < lo:
+            continue
+        for r in list(live):
+            try:
+                values[r, t - lo] = observe(state, slice(r * count, (r + 1) * count))
+            except ValueError as exc:
+                _record(failures, cells[r], exc)
+                live.remove(r)
+    return values
 
 
-def _thermo_entropy_cell(center, kappa, j, count, window, seed):
-    cap = CapDistribution(center=SphericalPoint(*center), solid_angle=1.0 / j)
-    states = spherical_to_cartesian(sample_cap(cap, count, seed))
-    params = KickParams(kappa)
-    series = np.empty(int(window[1]) + 1)
-    series[0] = thermo_limit_entropy(states)
-    for t in range(1, series.size):
+def _top_steps(states, params, steps):
+    """Yield an (N, 3) ensemble of single tops after 0..steps periods."""
+    yield states
+    for _ in range(steps):
         states = classical_step(states, params)
-        series[t] = thermo_limit_entropy(states)
-    return _window_mean(series, window)
+        yield states
 
 
-def _mi_cell(center, kappa, j, count, window, spread1, k, seed):
-    dist1 = CapDistribution(center=SphericalPoint(*center), solid_angle=spread1)
-    dist2 = CapDistribution(center=SphericalPoint(*center), solid_angle=1.0 / j)
-    series = evolve_ensemble(
-        dist1, dist2, KickParams(kappa), j, count, int(window[1]), seed
-    )
-    lo, hi = int(window[0]), int(window[1])
-    values = [ksg_mi(series.pairs_at(t), k=k).value for t in range(lo, hi + 1)]
-    return float(np.mean(values))
+def _mi_start(center, spread1, j, count, seed):
+    """Initial (n1, n2) of the bipartite ensemble around `center`."""
+    point = SphericalPoint(*center)
+    dist1 = CapDistribution(center=point, solid_angle=spread1)
+    dist2 = CapDistribution(center=point, solid_angle=1.0 / j)
+    return sample_pairs(dist1, dist2, j, count, seed)
+
+
+def _mi_series(starts, cells, params, j, window, k, failures=None):
+    """KSG MI (nats) of each bipartite ensemble at steps window[0]..window[1].
+
+    starts holds one (n1, n2) pair of equal-sized ensembles per cell; all
+    of them step together as one stacked array, and only the current step
+    is held, so memory stays O(cells * count + cells * window).
+    """
+    n1 = np.concatenate([n1 for n1, _ in starts])
+    n2 = np.concatenate([n2 for _, n2 in starts])
+
+    def observe(xs, part):
+        return ksg_mi(np.column_stack([xs[0][part], xs[1][part]]), k=k).value
+
+    steps = pair_x_steps(n1, n2, params, j, window[1])
+    return _stacked_windows(steps, observe, cells, len(starts[0][0]), window, failures)
 
 
 _MAP_KINDS = ("entropy-map", "thermo-map", "mi-map")
+
+
+def _map_values(kind, cells, *, kappa, j, grid, count, window, spread1, k, seed,
+                failures=None):
+    """Values of the listed grid cells of one map, computed in one pass.
+
+    The map-wide set-up (kind, window, kick strength, Floquet unitary) is
+    checked and built once.  Every cell then gets its own start: a coherent
+    state, or an ensemble drawn from the child stream keyed by its index.
+    Ensembles of all cells step together as one stacked array.  A cell
+    that raises ValueError keeps NaN and goes to `failures`.
+    """
+    if kind not in _MAP_KINDS:
+        raise ValueError(f"kind must be one of {_MAP_KINDS}, got {kind!r}")
+    lo, hi = int(window[0]), int(window[1])
+    if not 0 <= lo < hi:
+        raise ValueError(f"window must satisfy 0 <= lo < hi, got {window!r}")
+    params = KickParams(kappa)
+    n_theta, n_phi = grid
+    thetas, phis = grid_centers(n_theta, n_phi)
+    for cell in cells:
+        if not 0 <= cell < n_theta * n_phi:
+            raise IndexError(f"cell_index {cell} out of range for {n_theta}x{n_phi}")
+    centers = [(float(thetas[cell // n_phi]), float(phis[cell % n_phi])) for cell in cells]
+    values = np.full(len(cells), np.nan)
+    if kind == "entropy-map":
+        unitary = None  # built at the first valid state, so a bad j fails per cell
+        for row, cell in enumerate(cells):
+            try:
+                state = coherent_state(j, *centers[row])
+                if unitary is None:
+                    unitary = floquet_unitary(j, kappa)
+                bloch = evolve_expectations(state, unitary, hi)
+            except ValueError as exc:
+                _record(failures, cell, exc)
+                continue
+            s_lin = np.maximum(0.5 * (1.0 - np.einsum("ij,ij->i", bloch, bloch)), 0.0)
+            values[row] = float(np.mean(s_lin[lo : hi + 1]))
+        return values
+    rows, starts = [], []
+    for row, cell in enumerate(cells):
+        cell_seed = np.random.SeedSequence(entropy=seed, spawn_key=(cell,))
+        try:
+            if kind == "thermo-map":
+                cap = CapDistribution(center=SphericalPoint(*centers[row]), solid_angle=1.0 / j)
+                start = spherical_to_cartesian(sample_cap(cap, count, cell_seed))
+            else:
+                start = _mi_start(centers[row], spread1, j, count, cell_seed)
+        except ValueError as exc:
+            _record(failures, cell, exc)
+            continue
+        rows.append(row)
+        starts.append(start)
+    if not starts:
+        return values
+    started = [cells[row] for row in rows]
+    if kind == "thermo-map":
+        states = _top_steps(np.concatenate(starts), params, hi)
+        windows = _stacked_windows(
+            states, lambda s, part: thermo_limit_entropy(s[part]), started, count,
+            (lo, hi), failures,
+        )
+    else:
+        windows = _mi_series(starts, started, params, j, (lo, hi), k, failures)
+    for row, series in zip(rows, windows):
+        values[row] = float(np.mean(series))
+    return values
 
 
 def map_cell_value(kind: str, cell_index: int, *, kappa, j, grid, count, window,
@@ -235,21 +335,14 @@ def map_cell_value(kind: str, cell_index: int, *, kappa, j, grid, count, window,
 
     Cells are independent: each draws from its own child stream keyed by
     cell_index, so evaluating any subset in any order (or in parallel)
-    reproduces the full map's values.
+    reproduces the full map's values.  This runs the full map's kernel on
+    a one-cell list; a cell failure raises its ValueError.
     """
-    if kind not in _MAP_KINDS:
-        raise ValueError(f"kind must be one of {_MAP_KINDS}, got {kind!r}")
-    n_theta, n_phi = grid
-    thetas, phis = grid_centers(n_theta, n_phi)
-    if not 0 <= cell_index < n_theta * n_phi:
-        raise IndexError(f"cell_index {cell_index} out of range for {n_theta}x{n_phi}")
-    center = (float(thetas[cell_index // n_phi]), float(phis[cell_index % n_phi]))
-    cell_seed = np.random.SeedSequence(entropy=seed, spawn_key=(cell_index,))
-    if kind == "entropy-map":
-        return _quantum_entropy_cell(center, kappa, j, window)
-    if kind == "thermo-map":
-        return _thermo_entropy_cell(center, kappa, j, count, window, cell_seed)
-    return _mi_cell(center, kappa, j, count, window, spread1, k, cell_seed)
+    values = _map_values(
+        kind, [cell_index], kappa=kappa, j=j, grid=grid, count=count, window=window,
+        spread1=spread1, k=k, seed=seed,
+    )
+    return float(values[0])
 
 
 def equilibrium_map(kind: str, *, kappa, j, grid, count, window,
@@ -257,25 +350,20 @@ def equilibrium_map(kind: str, *, kappa, j, grid, count, window,
     """Late-time observable over the full grid; cell failures do not abort.
 
     A cell whose patch overlaps a pole (or any other per-cell ValueError)
-    is recorded in `failures` and left as NaN.
+    is recorded in `failures`, in cell order, and left as NaN.  Map-wide
+    parameters (kind, window, kappa) are checked once and raise.
     """
     n_theta, n_phi = grid
     thetas, phis = grid_centers(n_theta, n_phi)
-    values = np.full((n_theta, n_phi), np.nan)
     failures = []
-    for cell_index in range(n_theta * n_phi):
-        try:
-            value = map_cell_value(
-                kind, cell_index, kappa=kappa, j=j, grid=grid, count=count,
-                window=window, spread1=spread1, k=k, seed=seed,
-            )
-        except ValueError as exc:
-            failures.append((cell_index, str(exc)))
-            continue
-        values[cell_index // n_phi, cell_index % n_phi] = value
+    values = _map_values(
+        kind, range(n_theta * n_phi), kappa=kappa, j=j, grid=grid, count=count,
+        window=window, spread1=spread1, k=k, seed=seed, failures=failures,
+    )
     return EquilibriumMap(
         kind=kind, theta_centers=thetas, phi_centers=phis,
-        values=values, window=(int(window[0]), int(window[1])), failures=failures,
+        values=values.reshape(n_theta, n_phi), window=(int(window[0]), int(window[1])),
+        failures=sorted(failures),
     )
 
 
@@ -312,6 +400,33 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown kind {self.kind!r}; choose from {sorted(EXPERIMENT_KINDS)}"
             )
+        for name in ("kappa", "j", "spread1"):
+            value = getattr(self, name)
+            if value is not None and not _is_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("count", "steps", "k", "n_blocks", "steps_per_block", "seed"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, check in (("center", _is_real), ("grid", _is_int), ("window", _is_int)):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, _pair(name, value, check))
+        if self.j_list is not None:
+            if not isinstance(self.j_list, (list, tuple)) or not self.j_list or not all(
+                _is_real(j) for j in self.j_list
+            ):
+                raise ValueError(f"j_list must be a non-empty list of finite numbers, got {self.j_list!r}")
+            self.j_list = tuple(self.j_list)
+        if self.initials is not None:
+            if not isinstance(self.initials, (list, tuple)):
+                raise ValueError(f"initials must be a list of pairs, got {self.initials!r}")
+            self.initials = tuple(_pair("initials", point, _is_real) for point in self.initials)
+        if self.kappa is not None and self.kappa < 0:
+            raise ValueError(f"kappa must be >= 0, got {self.kappa!r}")
+        for j in (self.j,) + (self.j_list or ()):
+            if j is not None and j <= 0:
+                raise ValueError(f"j must be positive, got {j!r}")
         theta, phi = self.center
         if not 0.0 <= float(theta) <= np.pi:
             raise ValueError(f"center theta must be in [0, pi], got {theta!r}")
@@ -323,12 +438,30 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.window is not None:
             lo, hi = self.window
-            if not 0 <= int(lo) < int(hi):
+            if not 0 <= lo < hi:
                 raise ValueError(f"window must satisfy 0 <= lo < hi, got {self.window!r}")
         if self.grid is not None:
             n_theta, n_phi = self.grid
             if n_theta < 1 or n_phi < 1:
                 raise ValueError(f"grid must be positive, got {self.grid!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # JSON booleans are ints to Python; a config never means them as numbers
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _pair(name: str, value, check) -> tuple:
+    """`value` as a tuple of two items passing `check`; ValueError otherwise."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(check, value)):
+        what = "integers" if check is _is_int else "finite numbers"
+        raise ValueError(f"{name} must be a pair of {what}, got {value!r}")
+    return tuple(value)
 
 
 @dataclass
@@ -447,19 +580,13 @@ def _run_entropy_dynamics(config: ExperimentConfig) -> Dataset:
     )
 
 
-def _mi_series(config: ExperimentConfig, kappa, j, count, steps, seed):
-    dist1 = CapDistribution(center=SphericalPoint(*config.center), solid_angle=config.spread1)
-    dist2 = CapDistribution(center=SphericalPoint(*config.center), solid_angle=1.0 / j)
-    series = evolve_ensemble(dist1, dist2, KickParams(kappa), j, count, steps, seed)
-    return np.array([ksg_mi(series.pairs_at(t), k=config.k).value for t in range(steps + 1)])
-
-
 def _run_mi_dynamics(config: ExperimentConfig) -> Dataset:
     kappa = _require(config, "kappa")
     j = config.j if config.j is not None else 100
     count = config.count if config.count is not None else 1000
     steps = config.steps if config.steps is not None else 100
-    mi = _mi_series(config, kappa, j, count, steps, config.seed)
+    start = _mi_start(config.center, config.spread1, j, count, config.seed)
+    mi = _mi_series([start], [0], KickParams(kappa), j, (0, steps), config.k)[0]
     rows = list(enumerate(mi.tolist()))
     meta = _base_meta(config.kind, {
         "kappa": kappa, "j": j, "count": count, "steps": steps,
@@ -483,10 +610,12 @@ def _run_teq_scaling(config: ExperimentConfig) -> Dataset:
     j_list = _require(config, "j_list")
     count = config.count if config.count is not None else 500
     steps = config.steps if config.steps is not None else 500
+    params = KickParams(kappa)
     rows = []
     for index, j in enumerate(j_list):
         seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-        mi = _mi_series(config, kappa, float(j), count, steps, seed)
+        start = _mi_start(config.center, config.spread1, float(j), count, seed)
+        mi = _mi_series([start], [index], params, float(j), (0, steps), config.k)[0]
         rows.append((float(j), estimate_teq(mi).teq))
     js = np.array([row[0] for row in rows])
     teqs = np.array([row[1] for row in rows], dtype=np.float64)

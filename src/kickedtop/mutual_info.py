@@ -15,6 +15,7 @@ any distances are computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -60,6 +61,18 @@ def digamma(x):
     tail = u * (1.0 / 12.0 - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (1.0 / 240.0 - u / 132.0))))
     result = acc + np.log(x) - 0.5 / x - tail
     return float(result[0]) if scalar else result
+
+
+@lru_cache(maxsize=8)
+def _psi_table(n: int) -> np.ndarray:
+    """psi(1), ..., psi(n) from `digamma`, read-only; entry m - 1 is psi(m).
+
+    digamma works elementwise, so each entry has the bits of a per-call
+    digamma(m).  KSG needs psi only at integers 1..n for n samples.
+    """
+    table = digamma(np.arange(1, n + 1))
+    table.setflags(write=False)
+    return table
 
 
 def knn_search(points, query_index: int, k: int):
@@ -175,6 +188,7 @@ def ksg_mi(samples, k: int = 3, jitter_seed: int = 0) -> MIEstimate:
     eps = _joint_knn_radii(np.column_stack([a, b]), k)
     n_a = _strict_marginal_counts(a, eps)
     n_b = _strict_marginal_counts(b, eps)
-    terms = np.sort(digamma(n_a + 1) + digamma(n_b + 1))
-    value = digamma(k) + digamma(n) - float(np.mean(terms))
+    psi = _psi_table(n)
+    terms = np.sort(psi[n_a] + psi[n_b])
+    value = float(psi[k - 1]) + float(psi[n - 1]) - float(np.mean(terms))
     return MIEstimate(value=value, k=k, n=n)

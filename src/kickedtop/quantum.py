@@ -73,24 +73,33 @@ class SpinState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def _m_values(j: float) -> np.ndarray:
-    two_j = _two_j(j)
-    return (two_j - 2 * np.arange(two_j + 1)) / 2.0
+# bound on each per-j cache: one dense j=1000 operator entry is about 64 MB
+_CACHE_SIZE = 4
 
 
-def _raising_coefficients(j: float) -> np.ndarray:
-    """c[i] couples basis index i to i-1: J+ |j, m_i> = c[i] |j, m_i + 1>."""
-    m = _m_values(j)[1:]
-    return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+@lru_cache(maxsize=_CACHE_SIZE)
+def _ladder(two_j: int):
+    """(m values, raising coefficients) of spin two_j / 2, read-only.
+
+    m runs j, j-1, ..., -j; c[i] couples basis index i to i-1:
+    J+ |j, m_i> = c[i] |j, m_i + 1>.
+    """
+    j = two_j / 2.0
+    m = (two_j - 2 * np.arange(two_j + 1)) / 2.0
+    above = m[1:]
+    coeff = np.sqrt(j * (j + 1.0) - above * (above + 1.0))
+    for arr in (m, coeff):
+        arr.setflags(write=False)
+    return m, coeff
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _spin_operators_cached(two_j: int) -> SpinOperators:
     j = two_j / 2.0
     dim = two_j + 1
-    jz = np.diag(_m_values(j)).astype(np.complex128)
+    m, coeff = _ladder(two_j)
+    jz = np.diag(m).astype(np.complex128)
     jp = np.zeros((dim, dim), dtype=np.complex128)
-    coeff = _raising_coefficients(j)
     jp[np.arange(dim - 1), np.arange(1, dim)] = coeff
     jx = (jp + jp.conj().T) / 2.0
     jy = (jp - jp.conj().T) / 2.0j
@@ -116,8 +125,9 @@ def coherent_state(j, theta0: float, phi0: float) -> SpinState:
     evaluated in log space so large j stays finite.  The Bloch vector of
     the result is the unit vector at (theta0, phi0).
     """
-    j = _two_j(j) / 2.0
-    m = _m_values(j)
+    two_j = _two_j(j)
+    j = two_j / 2.0
+    m = _ladder(two_j)[0]
     cos_half = np.cos(theta0 / 2.0)
     sin_half = np.sin(theta0 / 2.0)
     if cos_half < 0.0 or sin_half < 0.0:
@@ -129,7 +139,7 @@ def coherent_state(j, theta0: float, phi0: float) -> SpinState:
     return SpinState(j=j, amplitudes=amps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _quarter_turn_y(two_j: int) -> np.ndarray:
     """exp(-i (pi/2) Jy) from the eigendecomposition of Jy."""
     ops = _spin_operators_cached(two_j)
@@ -149,9 +159,16 @@ def floquet_unitary(j, kappa: float) -> np.ndarray:
     j = two_j / 2.0
     if kappa < 0.0 or not np.isfinite(kappa):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    m = _m_values(j)
+    m = _ladder(two_j)[0]
     kick = np.exp(-1j * kappa * m**2 / (2.0 * j))
     return kick[:, None] * _quarter_turn_y(two_j)
+
+
+def _bloch(psi: np.ndarray, m: np.ndarray, coeff: np.ndarray) -> tuple:
+    """j times the Bloch vector of amplitudes psi, as (<Jx>, <Jy>, <Jz>)."""
+    plus = np.sum(coeff * np.conj(psi[:-1]) * psi[1:])
+    z = np.sum(m * np.abs(psi) ** 2)
+    return plus.real, plus.imag, z
 
 
 def bloch_vector(state: SpinState) -> np.ndarray:
@@ -160,11 +177,8 @@ def bloch_vector(state: SpinState) -> np.ndarray:
     Uses the ladder structure directly (O(dim), no matrix products):
     <J+> = sum_i c_i conj(psi_{i-1}) psi_i, <Jx> = Re, <Jy> = Im.
     """
-    psi = state.amplitudes
-    j = state.j
-    plus = np.sum(_raising_coefficients(j) * np.conj(psi[:-1]) * psi[1:])
-    z = np.sum(_m_values(j) * np.abs(psi) ** 2)
-    return np.array([plus.real, plus.imag, z]) / j
+    m, coeff = _ladder(_two_j(state.j))
+    return np.array(_bloch(state.amplitudes, m, coeff)) / state.j
 
 
 def evolve_expectations(state: SpinState, unitary: np.ndarray, steps: int) -> np.ndarray:
@@ -175,16 +189,17 @@ def evolve_expectations(state: SpinState, unitary: np.ndarray, steps: int) -> np
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    psi = state.amplitudes.copy()
+    m, coeff = _ladder(_two_j(state.j))
+    psi = state.amplitudes
     out = np.empty((steps + 1, 3))
-    out[0] = bloch_vector(state)
-    j = state.j
+    out[0] = _bloch(psi, m, coeff)
     for i in range(1, steps + 1):
         psi = unitary @ psi
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > _NORM_DRIFT_TOL:
             raise NormDriftError(f"norm drifted to {norm!r} at step {i}")
-        out[i] = bloch_vector(SpinState(j=j, amplitudes=psi))
+        out[i] = _bloch(psi, m, coeff)
+    out /= state.j
     return out
 
 

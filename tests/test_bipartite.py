@@ -14,6 +14,7 @@ from kickedtop import (
     sample_cap,
     spherical_to_cartesian,
 )
+from kickedtop.bipartite import pair_x_steps, sample_pairs
 
 
 def unit(theta, phi):
@@ -174,6 +175,20 @@ class TestSampleCap:
         with pytest.raises(ValueError):
             sample_cap(dist, 0, 1)
 
+    def test_matches_per_point_draws(self):
+        # reference: one generator per point, bounds and arccos per point
+        dist = CapDistribution(center=SphericalPoint(2.0, 5.0), solid_angle=0.3)
+        root = np.random.SeedSequence(entropy=42, spawn_key=(3,))
+        expected = []
+        for i in range(40):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=42, spawn_key=(3, i))
+            )
+            (t_lo, t_hi), (p_lo, p_hi) = dist.bounds()
+            theta = float(np.arccos(rng.uniform(np.cos(t_hi), np.cos(t_lo))))
+            expected.append((theta, float(rng.uniform(p_lo, p_hi))))
+        np.testing.assert_array_equal(sample_cap(dist, 40, root), expected)
+
 
 class TestEvolveEnsemble:
     def default_dists(self, j=100):
@@ -237,6 +252,20 @@ class TestEvolveEnsemble:
             pair = bipartite_step(pair, KickParams(2.5))
             np.testing.assert_array_equal(series.x1[t], pair.x1)
             np.testing.assert_array_equal(series.x2[t], pair.x2)
+
+    def test_stacked_ensembles_step_as_each_alone(self):
+        params = KickParams(6.0)
+        starts = [
+            sample_pairs(*self.default_dists(), 100, 12, seed) for seed in (1, 2, 3)
+        ]
+        n1 = np.concatenate([a for a, _ in starts])
+        n2 = np.concatenate([b for _, b in starts])
+        stacked = list(pair_x_steps(n1, n2, params, 100, 20))
+        for r, (a, b) in enumerate(starts):
+            alone = pair_x_steps(a, b, params, 100, 20)
+            for (x1, x2), (y1, y2) in zip(stacked, alone, strict=True):
+                np.testing.assert_array_equal(x1[12 * r : 12 * (r + 1)], y1)
+                np.testing.assert_array_equal(x2[12 * r : 12 * (r + 1)], y2)
 
     def test_rejects_small_ensemble(self):
         d1, d2 = self.default_dists()

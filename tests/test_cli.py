@@ -85,6 +85,24 @@ class TestConfigFile:
         assert "error:" in captured.err
         assert "temperature" in captured.err
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kappa": "x"}, "kappa must be a finite number, got 'x'"),
+        ({"kappa": 2.5, "count": 2.5}, "count must be an integer, got 2.5"),
+        ({"kappa": 2.5, "grid": "ab"}, "grid must be a pair of integers, got 'ab'"),
+        ({"kappa": 2.5, "center": 3}, "center must be a pair of finite numbers, got 3"),
+        ({"kappa": 2.5, "seed": "a"}, "seed must be an integer, got 'a'"),
+    ])
+    def test_wrongly_typed_value_is_one_line_error(self, tmp_path, capsys, fields, message):
+        # before typed validation these ran the whole map with every cell
+        # failed (exit 0) or escaped as a TypeError traceback
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(fields))
+        code = main(["mi-map", "--config", str(path), "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
+
     def test_non_object_json_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text(json.dumps([1, 2, 3]))

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,14 +109,58 @@ class TestGridAndMaps:
         assert result.failures == []
         assert result.window == (5, 15)
 
-    def test_cell_value_matches_full_map(self):
+    @pytest.mark.parametrize("kind", ["entropy-map", "thermo-map", "mi-map"])
+    def test_cell_value_matches_full_map(self, kind):
         # per-cell seeding is keyed to the cell index, so a cell computed in
-        # isolation reproduces its value inside the full grid run
-        kwargs = dict(kappa=2.5, j=100, grid=(2, 2), count=20, window=(5, 15), seed=3)
-        full = equilibrium_map("thermo-map", **kwargs)
-        for cell in range(4):
-            solo = map_cell_value("thermo-map", cell, **kwargs)
+        # isolation reproduces its value inside the full grid run, bit for
+        # bit; a failed cell raises the reason the full map records.  The
+        # mi-map grid has polar cells.
+        kwargs = dict(kappa=2.5, j=100, grid=(4, 2), count=20, window=(5, 15), seed=3)
+        full = equilibrium_map(kind, **kwargs)
+        reasons = dict(full.failures)
+        for cell in range(8):
+            if cell in reasons:
+                with pytest.raises(ValueError, match=re.escape(reasons[cell])):
+                    map_cell_value(kind, cell, **kwargs)
+                continue
+            solo = map_cell_value(kind, cell, **kwargs)
             assert solo == full.values[cell // 2, cell % 2]
+        assert len(reasons) == (4 if kind == "mi-map" else 0)
+
+    @pytest.mark.parametrize("count, k, reason", [
+        (5, 3, "count must be >= 8, got 5"),
+        (12, 11, "need at least k + 2 = 13 samples, got 12"),
+    ])
+    def test_failures_keep_cell_order_and_reasons(self, count, k, reason):
+        # a failure at sampling time (count) and one at estimation time (k)
+        # interleave with the polar rows in cell order, with the messages
+        # the per-cell code gave
+        result = equilibrium_map(
+            "mi-map", kappa=2.5, j=100, grid=(4, 2), count=count, k=k, window=(2, 4)
+        )
+        north = "patch of width 0.8083 around theta=0.3927 overlaps a pole"
+        south = "patch of width 0.8083 around theta=2.7489 overlaps a pole"
+        assert result.failures == (
+            [(0, north), (1, north)] + [(c, reason) for c in range(2, 6)]
+            + [(6, south), (7, south)]
+        )
+        assert np.all(np.isnan(result.values))
+
+    def test_mi_map_memory_does_not_grow_with_window_end(self):
+        # the ensembles are stepped in place; no (steps + 1, cells * count)
+        # series is kept, so moving the window late costs no memory.  Such
+        # a series would take 2 * 8 B * 1001 * 3 * 100 = 4.8 MB here.
+        def peak(window):
+            tracemalloc.start()
+            try:
+                equilibrium_map("mi-map", kappa=2.5, j=100, grid=(3, 1), count=100,
+                                window=window, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        early, late = peak((0, 10)), peak((990, 1000))
+        assert late - early < 200_000, (early, late)
 
     def test_pole_overlapping_cells_fail_soft(self):
         # near-pole rows cannot host the wide subsystem-1 patch; the map
@@ -166,6 +212,33 @@ class TestExperimentConfig:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="entropy-map", kappa=1.0, window=(40, 20))
+
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", "x"), ("kappa", True), ("kappa", float("nan")), ("j", "100"),
+        ("count", 2.5), ("steps", "5"), ("n_blocks", 1.0), ("steps_per_block", 2.5),
+        ("seed", "a"), ("k", 3.0), ("grid", "ab"), ("grid", (2, 2.5)), ("window", (1, 2, 3)),
+        ("center", 3), ("j_list", ()), ("j_list", (25, "a")), ("initials", ((0.3,),)),
+    ])
+    def test_rejects_wrongly_typed_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(kind="mi-map", **{"kappa": 2.5, field: value})
+
+    def test_lists_become_tuples_and_keep_their_numbers(self):
+        cfg = ExperimentConfig(
+            kind="phase-portrait", kappa=2, center=[1, 2], grid=[2, 3], window=[0, 4],
+            j_list=[25, 50.0], initials=[[0.3, 0.4]],
+        )
+        assert cfg.center == (1, 2) and type(cfg.center[0]) is int
+        assert (cfg.grid, cfg.window, cfg.j_list) == ((2, 3), (0, 4), (25, 50.0))
+        assert cfg.initials == ((0.3, 0.4),)
+
+    def test_rejects_negative_kappa_and_nonpositive_j(self):
+        with pytest.raises(ValueError, match="kappa"):
+            ExperimentConfig(kind="mi-map", kappa=-1.0)
+        with pytest.raises(ValueError, match="j must be positive"):
+            ExperimentConfig(kind="mi-map", kappa=1.0, j=0)
+        with pytest.raises(ValueError, match="j must be positive"):
+            ExperimentConfig(kind="teq-scaling", kappa=1.0, j_list=(10, -5))
 
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
@@ -315,8 +388,10 @@ class TestDatasetOutput:
         assert "units" in meta and "version" in meta
 
 
-# sha256 of (CSV, .meta.json) for small runs, recorded before the orbit
-# kernels were rewritten; any change to the output bytes shows up here
+# sha256 of (CSV, .meta.json) for small runs; any change to the output
+# bytes shows up here.  The portrait and lyapunov digests were recorded
+# before the orbit kernels were rewritten, the map and MI ones before the
+# whole-grid map kernel, each on the commit before that source change.
 PINNED_DIGESTS = {
     "portrait-grid": (
         dict(kind="phase-portrait", kappa=2.5, grid=(4, 5), steps=50),
@@ -337,6 +412,44 @@ PINNED_DIGESTS = {
         dict(kind="lyapunov", kappa=1.0, center=(1.0, 0.3), n_blocks=3, steps_per_block=5000),
         "3620ffcf40d6212ccd9f9579c987ab4c4bf4169a6a4fb9059fdab863c7fab71c",
         "11931576db966c12d4ca0fb36bcf4cb7f4f3beb9178560ce95f8c50d90cd39cf",
+    ),
+    "entropy-map": (
+        dict(kind="entropy-map", kappa=2.5, j=10, grid=(3, 4), window=(5, 15)),
+        "8dfce9eba46b40629381f0b133f227f34f8ad8a1419da008c9c6a0fec0bca7da",
+        "3d430b4fda0033b18a42d6b8d2d256d5728a9ce10d92582d59666dbbbab8579e",
+    ),
+    "entropy-map-half-j": (
+        dict(kind="entropy-map", kappa=6.0, j=7.5, grid=(2, 3), window=(2, 9)),
+        "a3606970654a30297a527e344478ead8abb6e1b11ce9b9439577ecb16a5d5a47",
+        "b9f029782cfba5c4bdca9f30103690309a009b94f4421aa962ec943b8acd5f1a",
+    ),
+    "thermo-map-polar": (
+        # rows 0 and 7 overlap a pole: six failed cells
+        dict(kind="thermo-map", kappa=2.5, j=10, grid=(8, 3), count=20, window=(2, 6), seed=4),
+        "6e27d8835ed48e58998e84497d1b2f3e94b96a2bd5b2a77281c02563fad72a11",
+        "3e681db15c74d672e1c57c4214f9db64e90e5feda50be1855602d25439e2e1f8",
+    ),
+    "mi-map": (
+        # count 30 takes the brute-force neighbour path; rows 0 and 3 are polar
+        dict(kind="mi-map", kappa=2.5, j=100, grid=(4, 3), count=30, window=(3, 6), seed=5),
+        "26e0575693669a5b7d7568fd9e1f6d227fece463c597ff2d5ff661d3db0d237b",
+        "1205da800380e1eb911350e5625f4d4dcc6f696255bdceb78e26ab0daf418063",
+    ),
+    "mi-map-tree": (
+        # count 200 takes the k-d tree neighbour path
+        dict(kind="mi-map", kappa=6.0, j=50, grid=(3, 2), count=200, window=(2, 5), seed=9),
+        "b68fab110874cb0954e324a71686626de8952d64fafb18fe4cf61f02153154cb",
+        "0cd4ae144a28e832d675a0c4702af5003a9ba8ce4ff8d4a3d1fcdf70561667ab",
+    ),
+    "mi-dynamics": (
+        dict(kind="mi-dynamics", kappa=6.0, j=100, count=60, steps=12, seed=2),
+        "451403a8832b153dcc41bc37ebbab60c74ebb78fd6f41aaa6a075fb9ed7d619d",
+        "39f1b91e74dd7705d1cd561d64a11111d4b631e69cae7d014fa20bcb4bc15216",
+    ),
+    "teq-scaling": (
+        dict(kind="teq-scaling", kappa=2.5, j_list=(25, 50), count=64, steps=120, seed=1),
+        "5c7541991909e2447bceab9e1fd12b03e863300feb2ad5a4b490e0e7ad928171",
+        "d4581a63834dd2d02991e1dbe82b8f89d4a1785ca72cd06ecbd41a5f2f4ca89c",
     ),
 }
 

@@ -3,14 +3,33 @@
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kickedtop import digamma, knn_search, ksg_mi
-from kickedtop.mutual_info import _joint_knn_radii
+from kickedtop.mutual_info import _joint_knn_radii, _psi_table
 
 
 def gaussian_pairs(rho, n, seed):
     rng = np.random.default_rng(seed)
     return rng.multivariate_normal([0.0, 0.0], [[1.0, rho], [rho, 1.0]], size=n)
+
+
+class TestPsiTable:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6000))
+    def test_entries_equal_per_call_digamma(self, data, n):
+        m = data.draw(st.integers(1, n))
+        assert _psi_table(n)[m - 1] == digamma(m)
+        assert _psi_table(n)[m - 1] == digamma(np.array([m, n]))[0]
+
+    def test_cache_stays_bounded(self):
+        samples = gaussian_pairs(0.3, 40, seed=1)
+        for n in range(20, 40):
+            ksg_mi(samples[:n], k=3)
+        info = _psi_table.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize == info.maxsize
 
 
 class TestDigamma:
@@ -127,6 +146,20 @@ class TestKsgMi:
         samples = gaussian_pairs(0.4, 700, seed=5)
         shuffled = samples[np.random.default_rng(0).permutation(700)]
         assert ksg_mi(samples, k=3).value == ksg_mi(shuffled, k=3).value
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5, 260), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+           rounding=st.sampled_from([None, 1, 2]))
+    def test_permutation_invariance_property(self, n, seed, k, rounding):
+        # rounding makes ties and exact duplicates; n spans both the
+        # brute-force and the tree neighbour paths
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=(n, 2))
+        samples[:, 1] += 0.5 * samples[:, 0]
+        if rounding is not None:
+            samples = np.round(samples, rounding)
+        shuffled = samples[rng.permutation(n)]
+        assert ksg_mi(shuffled, k=k).value == ksg_mi(samples, k=k).value
 
     def test_monotone_reparametrization_stability(self):
         # MI is invariant under strictly increasing maps of one marginal;

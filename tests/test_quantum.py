@@ -22,6 +22,7 @@ from kickedtop import (
     von_neumann_entropy_single_spin,
 )
 from kickedtop.bipartite import CapDistribution, sample_cap
+from kickedtop.quantum import _ladder, _quarter_turn_y, _spin_operators_cached
 
 
 def direction(theta, phi):
@@ -135,6 +136,18 @@ class TestFloquetUnitary:
         with pytest.raises(ValueError):
             floquet_unitary(5, -1.0)
 
+    def test_per_j_caches_stay_bounded_in_a_sweep(self):
+        # one dense j=1000 entry is about 64 MB, so a sweep over j must not
+        # keep every entry alive
+        for j in range(1, 11):
+            floquet_unitary(j, 1.0)
+            spin_operators(j)
+            coherent_state(j, 1.0, 0.5)
+        for cache in (_spin_operators_cached, _quarter_turn_y, _ladder):
+            info = cache.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize == info.maxsize
+
 
 class TestEvolveExpectations:
     def test_zero_steps_returns_initial_bloch(self):
@@ -142,6 +155,18 @@ class TestEvolveExpectations:
         out = evolve_expectations(state, floquet_unitary(10, 2.5), 0)
         assert out.shape == (1, 3)
         np.testing.assert_allclose(out[0], bloch_vector(state), atol=1e-14)
+
+    @pytest.mark.parametrize("j, kappa", [(0.5, 1.0), (7.5, 6.0), (20, 2.5)])
+    def test_matches_stepwise_state_loop(self, j, kappa):
+        # reference: a fresh SpinState and bloch_vector per period
+        state = coherent_state(j, 2.2, 0.7)
+        unitary = floquet_unitary(j, kappa)
+        expected = [bloch_vector(state)]
+        psi = state.amplitudes
+        for _ in range(30):
+            psi = unitary @ psi
+            expected.append(bloch_vector(SpinState(j=j, amplitudes=psi)))
+        np.testing.assert_array_equal(evolve_expectations(state, unitary, 30), expected)
 
     def test_rotations_preserve_coherence(self):
         # kappa=0 keeps coherent states coherent, so |r| stays 1
