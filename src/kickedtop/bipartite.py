@@ -232,12 +232,6 @@ class SampleSeries:
         """(count, 2) array of (x1, x2) samples after `step` periods."""
         return np.column_stack([self.x1[step], self.x2[step]])
 
-    def iter_rows(self):
-        """Yield (step, traj_id, x1, x2) in CSV order."""
-        for step in range(self.steps + 1):
-            for traj in range(self.count):
-                yield step, traj, self.x1[step, traj], self.x2[step, traj]
-
 
 def evolve_ensemble(
     dist1: CapDistribution,

@@ -10,6 +10,7 @@ numerical failures exit with status 1 and a one-line "error:" on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -74,11 +75,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         loaded.pop("kind", None)
         settings.update(loaded)
-    for name in ("kappa", "j", "j_list", "center", "grid", "count", "steps",
-                 "k", "window", "n_blocks", "steps_per_block", "spread1", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            settings[name] = value
+    for field in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, field.name, None)
+        if field.name != "kind" and value is not None:
+            settings[field.name] = value
     unknown = set(settings) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -657,6 +658,13 @@ def _run_map(config: ExperimentConfig) -> Dataset:
         config.kind, kappa=kappa, j=j, grid=grid, count=count, window=window,
         spread1=config.spread1, k=config.k, seed=config.seed,
     )
+    if len(result.failures) == result.values.size:
+        # Counter keeps first-seen order among equal counts: ties go to the
+        # reason of the lowest cell
+        reason, cells = Counter(reason for _, reason in result.failures).most_common(1)[0]
+        raise ValueError(
+            f"all {result.values.size} cells of the {config.kind} failed; {cells} with: {reason}"
+        )
     thetas = result.theta_centers.tolist()
     phis = result.phi_centers.tolist()
     values = result.values.ravel().tolist()

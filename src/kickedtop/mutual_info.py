@@ -22,11 +22,6 @@ from scipy.spatial import cKDTree
 
 __all__ = ["MIEstimate", "digamma", "knn_search", "ksg_mi"]
 
-EULER_GAMMA = 0.5772156649015329
-
-# brute-force pairwise distances are faster than tree queries below this n
-_TREE_MIN_N = 200
-
 _JITTER_SCALE = 1e-10
 
 
@@ -114,20 +109,19 @@ def _standardise(values: np.ndarray) -> np.ndarray:
     return centred / scale if scale > 0.0 else centred
 
 
-def _jitter(values: np.ndarray, seed: int, axis: int) -> np.ndarray:
+def _jitter(values: np.ndarray, axis: int) -> np.ndarray:
     """Deterministic tie-breaking noise keyed to each value, not its position.
 
-    A 64-bit mix of (bit pattern, seed, axis) is mapped to [-0.5, 0.5) and
-    scaled by 1e-10 times the data range, so permuting the samples permutes
-    the jitter with them and repeated runs are bit-identical.  Distinct
-    values that collide in distance comparisons are separated; exact
-    duplicates stay duplicates by design.
+    A 64-bit mix of (bit pattern, axis) is mapped to [-0.5, 0.5) and scaled
+    by 1e-10 times the data range, so permuting the samples permutes the
+    jitter with them and repeated runs are bit-identical.  Distinct values
+    that collide in distance comparisons are separated; exact duplicates
+    stay duplicates by design.
     """
     span = float(np.max(values) - np.min(values))
     if span == 0.0:
         span = 1.0
-    mask = 0xFFFFFFFFFFFFFFFF
-    key = ((seed & mask) * 0x9E3779B97F4A7C15 + (axis + 1) * 0xD1B54A32D192ED03) & mask
+    key = ((axis + 1) * 0xD1B54A32D192ED03) & 0xFFFFFFFFFFFFFFFF
     bits = values.astype(np.float64).view(np.uint64)
     z = bits ^ np.uint64(key)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -138,12 +132,12 @@ def _jitter(values: np.ndarray, seed: int, axis: int) -> np.ndarray:
 
 
 def _joint_knn_radii(joint: np.ndarray, k: int) -> np.ndarray:
-    """Chebyshev distance from each joint sample to its k-th neighbour."""
-    n = joint.shape[0]
-    if n < _TREE_MIN_N:
-        diff = np.abs(joint[:, None, :] - joint[None, :, :]).max(axis=-1)
-        np.fill_diagonal(diff, np.inf)
-        return np.sort(diff, axis=1)[:, k - 1]
+    """Chebyshev distance from each joint sample to its k-th neighbour.
+
+    Each query returns the sample itself at distance 0 among its k + 1
+    nearest, so column k is the k-th neighbour's distance even when exact
+    duplicates make the order within the zeros arbitrary.
+    """
     tree = cKDTree(joint)
     dist, _ = tree.query(joint, k=k + 1, p=np.inf)
     return dist[:, k]
@@ -163,15 +157,14 @@ def _strict_marginal_counts(values: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return np.where(eps > 0.0, np.maximum(counts, 0), 0)
 
 
-def ksg_mi(samples, k: int = 3, jitter_seed: int = 0) -> MIEstimate:
+def ksg_mi(samples, k: int = 3) -> MIEstimate:
     """Mutual information of paired scalars, neighbour variant 1, in nats.
 
     samples: (n, 2) array of (a, b) pairs, n >= k + 2, all values finite.
     Both marginals are standardised before distances are computed, so the
     estimate does not depend on the units of either variable.  The result
-    is deterministic for a fixed jitter_seed and exactly invariant under
-    permutations of the sample order (the averaged psi terms are sorted
-    before summing).
+    is deterministic and exactly invariant under permutations of the
+    sample order (the averaged psi terms are sorted before summing).
     """
     pairs = np.asarray(samples, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -183,8 +176,8 @@ def ksg_mi(samples, k: int = 3, jitter_seed: int = 0) -> MIEstimate:
         raise ValueError(f"need at least k + 2 = {k + 2} samples, got {n}")
     if not np.all(np.isfinite(pairs)):
         raise ValueError("samples must be finite")
-    a = _jitter(_standardise(pairs[:, 0]), jitter_seed, axis=0)
-    b = _jitter(_standardise(pairs[:, 1]), jitter_seed, axis=1)
+    a = _jitter(_standardise(pairs[:, 0]), axis=0)
+    b = _jitter(_standardise(pairs[:, 1]), axis=1)
     eps = _joint_knn_radii(np.column_stack([a, b]), k)
     n_a = _strict_marginal_counts(a, eps)
     n_b = _strict_marginal_counts(b, eps)

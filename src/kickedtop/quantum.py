@@ -73,7 +73,7 @@ class SpinState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-# bound on each per-j cache: one dense j=1000 operator entry is about 64 MB
+# bound on each per-j cache: one dense j=1000 quarter turn is about 64 MB
 _CACHE_SIZE = 4
 
 
@@ -93,9 +93,9 @@ def _ladder(two_j: int):
     return m, coeff
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _spin_operators_cached(two_j: int) -> SpinOperators:
-    j = two_j / 2.0
+def spin_operators(j) -> SpinOperators:
+    """Dense Jx, Jy, Jz for spin j, built on each call (read-only arrays)."""
+    two_j = _two_j(j)
     dim = two_j + 1
     m, coeff = _ladder(two_j)
     jz = np.diag(m).astype(np.complex128)
@@ -105,12 +105,7 @@ def _spin_operators_cached(two_j: int) -> SpinOperators:
     jy = (jp - jp.conj().T) / 2.0j
     for arr in (jx, jy, jz):
         arr.setflags(write=False)
-    return SpinOperators(j=j, jx=jx, jy=jy, jz=jz)
-
-
-def spin_operators(j) -> SpinOperators:
-    """Jx, Jy, Jz for spin j (cached; the arrays are read-only views)."""
-    return _spin_operators_cached(_two_j(j))
+    return SpinOperators(j=two_j / 2.0, jx=jx, jy=jy, jz=jz)
 
 
 def coherent_state(j, theta0: float, phi0: float) -> SpinState:
@@ -141,9 +136,11 @@ def coherent_state(j, theta0: float, phi0: float) -> SpinState:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _quarter_turn_y(two_j: int) -> np.ndarray:
-    """exp(-i (pi/2) Jy) from the eigendecomposition of Jy."""
-    ops = _spin_operators_cached(two_j)
-    vals, vecs = np.linalg.eigh(ops.jy)
+    """exp(-i (pi/2) Jy) from the eigendecomposition of Jy.
+
+    Jx and Jz are freed before `eigh`, Jy once it returns.
+    """
+    vals, vecs = np.linalg.eigh(spin_operators(two_j / 2.0).jy)
     rot = (vecs * np.exp(-0.5j * np.pi * vals)) @ vecs.conj().T
     rot.setflags(write=False)
     return rot

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from kickedtop.cli import main
+from kickedtop.cli import _build_parser, main
+from kickedtop.experiments import ExperimentConfig
 
 
 class TestSuccessPaths:
@@ -144,3 +146,34 @@ class TestFailurePaths:
         assert len(lines) == 1
         assert lines[0].startswith("error:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("mi-map --kappa 2.5 --grid 4 2 --count 5 --window 2 4",
+         "all 8 cells of the mi-map failed; 4 with: count must be >= 8, got 5"),
+        ("mi-map --kappa 2.5 --grid 4 2 --count 12 --k 11 --window 2 4",
+         "all 8 cells of the mi-map failed; 4 with: need at least k + 2 = 13 samples, got 12"),
+        ("mi-map --kappa 2.5 --j 0.7 --grid 4 2 --count 20 --window 2 4",
+         "all 8 cells of the mi-map failed; 4 with: j must be a half-integer >= 1, got 0.7"),
+        ("entropy-map --kappa 2.5 --j 0.3 --grid 4 2",
+         "all 8 cells of the entropy-map failed; 8 with: j must be a positive half-integer, got 0.3"),
+        # two north and two south cells: the tie goes to the first cell's reason
+        ("thermo-map --kappa 2.5 --j 0.3 --grid 2 2 --count 20 --window 2 4",
+         "all 4 cells of the thermo-map failed; 2 with: "
+         "patch of width 2.1712 around theta=0.7854 overlaps a pole"),
+    ], ids=["mi-map-count", "mi-map-k", "mi-map-j", "entropy-map-j", "thermo-map-j"])
+    def test_map_with_no_evaluable_cell_is_one_line_error(self, tmp_path, capsys, argv, message):
+        # these used to write an all-NaN map and exit 0
+        code = main(argv.split() + ["--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+
+def test_every_flag_is_a_config_field():
+    # _config_from_args copies flags by ExperimentConfig field name
+    fields = set(ExperimentConfig.__dataclass_fields__)
+    (kinds,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for kind, parser in kinds.choices.items():
+        dests = {action.dest for action in parser._actions} - {"help", "config", "out"}
+        assert dests <= fields, (kind, dests - fields)

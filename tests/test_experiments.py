@@ -430,13 +430,14 @@ PINNED_DIGESTS = {
         "3e681db15c74d672e1c57c4214f9db64e90e5feda50be1855602d25439e2e1f8",
     ),
     "mi-map": (
-        # count 30 takes the brute-force neighbour path; rows 0 and 3 are polar
+        # count 30, recorded while n < 200 took a brute-force neighbour
+        # search; rows 0 and 3 are polar
         dict(kind="mi-map", kappa=2.5, j=100, grid=(4, 3), count=30, window=(3, 6), seed=5),
         "26e0575693669a5b7d7568fd9e1f6d227fece463c597ff2d5ff661d3db0d237b",
         "1205da800380e1eb911350e5625f4d4dcc6f696255bdceb78e26ab0daf418063",
     ),
     "mi-map-tree": (
-        # count 200 takes the k-d tree neighbour path
+        # count 200, recorded on the k-d tree neighbour path
         dict(kind="mi-map", kappa=6.0, j=50, grid=(3, 2), count=200, window=(2, 5), seed=9),
         "b68fab110874cb0954e324a71686626de8952d64fafb18fe4cf61f02153154cb",
         "0cd4ae144a28e832d675a0c4702af5003a9ba8ce4ff8d4a3d1fcdf70561667ab",

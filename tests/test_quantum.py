@@ -1,5 +1,7 @@
 """Tests for the spin-j Floquet map, coherent states, and entropy measures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,8 +23,9 @@ from kickedtop import (
     thermo_limit_entropy,
     von_neumann_entropy_single_spin,
 )
+from kickedtop import quantum
 from kickedtop.bipartite import CapDistribution, sample_cap
-from kickedtop.quantum import _ladder, _quarter_turn_y, _spin_operators_cached
+from kickedtop.quantum import _ladder, _quarter_turn_y
 
 
 def direction(theta, phi):
@@ -98,8 +101,8 @@ class TestCoherentState:
 
 
 class TestFloquetUnitary:
-    def test_unitarity_up_to_j200(self):
-        for j in (0.5, 10, 100, 200):
+    def test_unitarity_up_to_j400(self):
+        for j in (0.5, 10, 100, 200, 400):
             u = floquet_unitary(j, 3.0)
             dim = u.shape[0]
             dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
@@ -143,10 +146,28 @@ class TestFloquetUnitary:
             floquet_unitary(j, 1.0)
             spin_operators(j)
             coherent_state(j, 1.0, 0.5)
-        for cache in (_spin_operators_cached, _quarter_turn_y, _ladder):
+        for cache in (_quarter_turn_y, _ladder):
             info = cache.cache_info()
             assert info.maxsize is not None
             assert info.currsize == info.maxsize
+
+    def test_large_j_build_keeps_no_dense_spin_operators(self):
+        # a cold build keeps the cached quarter turn and the returned unitary,
+        # two dense 801x801 complex matrices (20.5 MB); cached Jx, Jy, Jz
+        # would add three more
+        caches = [f for f in vars(quantum).values() if hasattr(f, "cache_clear")]
+        for cache in caches:
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            u = floquet_unitary(400, 2.5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            for cache in caches:
+                cache.cache_clear()
+        assert u.shape == (801, 801)
+        assert held < 3 * 801 * 801 * 16, held
 
 
 class TestEvolveExpectations:
