@@ -7,6 +7,7 @@ experiment runners that tie them together.
 """
 
 from .classical import (
+    KickedTopError,
     KickParams,
     SphericalPoint,
     cartesian_to_spherical,
@@ -64,6 +65,7 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "KickedTopError",
     "KickParams",
     "SphericalPoint",
     "cartesian_to_spherical",

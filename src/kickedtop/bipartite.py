@@ -175,27 +175,26 @@ def sample_pairs(dist1: CapDistribution, dist2: CapDistribution, j, count: int, 
 
 
 def pair_x_steps(n1: np.ndarray, n2: np.ndarray, params: KickParams, j, steps: int):
-    """Yield the normalised x components (x1, x2) after 0..steps periods.
+    """Yield the normalised x components, a (2, N) array, after 0..steps periods.
 
     n1 and n2 are (N, 3) arrays of paired unit vectors, any number of
-    independent ensembles stacked; each pair advances by the shared-kick
-    map and never interacts with another, so a stacked ensemble yields the
-    same bits as each of its parts alone.  Only the current step is held.
+    independent ensembles stacked; row 0 of each yielded array is x1 and
+    row 1 is x2.  The pair is held as one (2, N, 3) array and both
+    subsystems turn in one `kick_rotation` through their shared phase.
+    Each pair advances by the shared-kick map and never interacts with
+    another, so a stacked ensemble yields the same bits as each of its
+    parts alone.  Only the current step is held.
     """
     j = _unit_j(j)
-    w1 = 0.5 / j
-    w2 = (j - 0.5) / j
+    weights = np.array([[0.5 / j], [(j - 0.5) / j]])
     kappa = params.kappa
-    x1 = w1 * n1[:, 0]
-    x2 = w2 * n2[:, 0]
-    yield x1, x2
+    pair = np.stack([n1, n2])
+    xs = weights * pair[..., 0]
+    yield xs
     for _ in range(steps):
-        phase = kappa * (x1 + x2)
-        n1 = kick_rotation(n1, phase)
-        n2 = kick_rotation(n2, phase)
-        x1 = w1 * n1[:, 0]
-        x2 = w2 * n2[:, 0]
-        yield x1, x2
+        pair = kick_rotation(pair, kappa * (xs[0] + xs[1]))
+        xs = weights * pair[..., 0]
+        yield xs
 
 
 @dataclass(frozen=True)

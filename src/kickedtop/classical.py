@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "KickedTopError",
     "KickParams",
     "SphericalPoint",
     "spherical_to_cartesian",
@@ -31,6 +32,16 @@ __all__ = [
     "phase_portrait",
     "PORTRAIT_DTYPE",
 ]
+
+
+class KickedTopError(RuntimeError):
+    """Base of the package's own numerical failures.
+
+    Bad input raises ValueError; a computation that cannot deliver its
+    result (a series that never equilibrates, a fit window that is too
+    short, a degenerate tangent frame, a drifting norm) raises a subclass
+    of this.
+    """
 
 
 @dataclass(frozen=True)

@@ -14,26 +14,12 @@ import dataclasses
 import json
 import sys
 
-from .experiments import (
-    EXPERIMENT_KINDS,
-    ExperimentConfig,
-    NotEquilibratedError,
-    WindowTooShortError,
-    run_experiment,
-)
-from .lyapunov import DegenerateTangentError
-from .quantum import NormDriftError
+from .classical import KickedTopError
+from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
 # failures reported as a one-line "error:" with exit status 1: bad input,
 # unreadable files, and the package's own numerical failures
-_REPORTED_ERRORS = (
-    ValueError,
-    OSError,
-    NotEquilibratedError,
-    WindowTooShortError,
-    DegenerateTangentError,
-    NormDriftError,
-)
+_REPORTED_ERRORS = (ValueError, OSError, KickedTopError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

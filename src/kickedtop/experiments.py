@@ -19,6 +19,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .bipartite import (  # evolve_ensemble: perfbench's tracer patches it here
     sample_pairs,
 )
 from .classical import (
+    KickedTopError,
     KickParams,
     SphericalPoint,
     classical_step,
@@ -40,11 +42,12 @@ from .classical import (
 from .lyapunov import benettin_lyapunov
 from .mutual_info import ksg_mi
 from .quantum import (
+    _BLOCH_NORM_SLACK,
+    _bloch_norm_error,
     coherent_state,
     evolve_expectations,
     floquet_unitary,
     linear_entropy,
-    thermo_limit_entropy,
     von_neumann_entropy_single_spin,
 )
 
@@ -83,11 +86,11 @@ UNIT_CONVENTIONS = {
 }
 
 
-class NotEquilibratedError(RuntimeError):
+class NotEquilibratedError(KickedTopError):
     """Raised when a series never reaches its equilibration threshold."""
 
 
-class WindowTooShortError(RuntimeError):
+class WindowTooShortError(KickedTopError):
     """Raised when a growth-rate fit window contains fewer than 4 points."""
 
 
@@ -204,29 +207,6 @@ def _record(failures, cell, exc: ValueError):
     failures.append((cell, str(exc)))
 
 
-def _stacked_windows(states, observe, cells, count, window, failures=None):
-    """observe(state, part) of each stacked ensemble at steps window[0]..window[1].
-
-    `states` yields the stacked state after 0, 1, ..., window[1] periods;
-    ensemble r of `cells` owns rows part = r*count : (r+1)*count.  Returns a
-    (len(cells), window length) array.  An ensemble whose observable raises
-    ValueError stays NaN from then on and is recorded in `failures`.
-    """
-    lo, hi = window
-    values = np.full((len(cells), hi - lo + 1), np.nan)
-    live = list(range(len(cells)))
-    for t, state in enumerate(states):
-        if t < lo:
-            continue
-        for r in list(live):
-            try:
-                values[r, t - lo] = observe(state, slice(r * count, (r + 1) * count))
-            except ValueError as exc:
-                _record(failures, cells[r], exc)
-                live.remove(r)
-    return values
-
-
 def _top_steps(states, params, steps):
     """Yield an (N, 3) ensemble of single tops after 0..steps periods."""
     yield states
@@ -248,16 +228,48 @@ def _mi_series(starts, cells, params, j, window, k, failures=None):
 
     starts holds one (n1, n2) pair of equal-sized ensembles per cell; all
     of them step together as one stacked array, and only the current step
-    is held, so memory stays O(cells * count + cells * window).
+    is held, so memory stays O(cells * count + cells * window).  Each
+    window step makes one `ksg_mi` call on the (cells, count, 2) stack; a
+    ValueError from it fails every cell, in cell order.  Returns a
+    (len(cells), window length) array.
     """
+    lo, hi = window
     n1 = np.concatenate([n1 for n1, _ in starts])
     n2 = np.concatenate([n2 for _, n2 in starts])
+    values = np.full((len(cells), hi - lo + 1), np.nan)
+    steps = pair_x_steps(n1, n2, params, j, hi)
+    for col, xs in enumerate(islice(steps, lo, None)):
+        try:
+            values[:, col] = ksg_mi(xs.T.reshape(len(cells), -1, 2), k=k).value
+        except ValueError as exc:
+            for cell in cells:
+                _record(failures, cell, exc)
+            break
+    return values
 
-    def observe(xs, part):
-        return ksg_mi(np.column_stack([xs[0][part], xs[1][part]]), k=k).value
 
-    steps = pair_x_steps(n1, n2, params, j, window[1])
-    return _stacked_windows(steps, observe, cells, len(starts[0][0]), window, failures)
+def _thermo_series(starts, cells, params, window, failures=None):
+    """Linear entropy of each ensemble's mean vector at steps window[0]..window[1].
+
+    All ensembles step together as one stacked array.  Each window step
+    takes every ensemble's mean in one reduction, and its |r|^2 as a
+    stacked matmul, whose rows have the bits of np.dot; so row i is
+    thermo_limit_entropy(ensemble i).  A row whose mean vector is longer
+    than 1 beyond roundoff stays NaN from then on and goes to `failures`.
+    Returns a (len(cells), window length) array.
+    """
+    lo, hi = window
+    values = np.full((len(cells), hi - lo + 1), np.nan)
+    live = np.ones(len(cells), dtype=bool)
+    steps = _top_steps(np.concatenate(starts), params, hi)
+    for col, states in enumerate(islice(steps, lo, None)):
+        mean = states.reshape(len(cells), -1, 3).mean(axis=1)
+        r2 = (mean[:, np.newaxis, :] @ mean[:, :, np.newaxis])[:, 0, 0]
+        for row in np.flatnonzero(live & (r2 > 1.0 + _BLOCH_NORM_SLACK)):
+            _record(failures, cells[row], _bloch_norm_error(np.sqrt(r2[row])))
+            live[row] = False
+        values[live, col] = np.maximum(0.5 * (1.0 - r2[live]), 0.0)
+    return values
 
 
 _MAP_KINDS = ("entropy-map", "thermo-map", "mi-map")
@@ -318,11 +330,7 @@ def _map_values(kind, cells, *, kappa, j, grid, count, window, spread1, k, seed,
         return values
     started = [cells[row] for row in rows]
     if kind == "thermo-map":
-        states = _top_steps(np.concatenate(starts), params, hi)
-        windows = _stacked_windows(
-            states, lambda s, part: thermo_limit_entropy(s[part]), started, count,
-            (lo, hi), failures,
-        )
+        windows = _thermo_series(starts, started, params, (lo, hi), failures)
     else:
         windows = _mi_series(starts, started, params, j, (lo, hi), k, failures)
     for row, series in zip(rows, windows):

@@ -20,6 +20,7 @@ import numpy as np
 # classical_step is unused here; it stays importable under this name because
 # perfbench/tracer.py patches it (and jacobian) on this module
 from .classical import (
+    KickedTopError,
     KickParams,
     SphericalPoint,
     classical_step,  # noqa: F401
@@ -49,7 +50,7 @@ _POLE_TOL = 1e-8
 _CHUNK_STEPS = 4096
 
 
-class DegenerateTangentError(RuntimeError):
+class DegenerateTangentError(KickedTopError):
     """Raised when a tangent-vector norm underflows during reorthonormalisation."""
 
 

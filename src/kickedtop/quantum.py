@@ -17,6 +17,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from .classical import KickedTopError
+
 __all__ = [
     "NormDriftError",
     "SpinOperators",
@@ -33,8 +35,11 @@ __all__ = [
 
 _NORM_DRIFT_TOL = 1e-8
 
+# a Bloch vector may be longer than 1 by this much roundoff
+_BLOCH_NORM_SLACK = 1e-10
 
-class NormDriftError(RuntimeError):
+
+class NormDriftError(KickedTopError):
     """Raised when a state norm drifts by more than 1e-8 during evolution."""
 
 
@@ -206,16 +211,21 @@ def linear_entropy(bloch: np.ndarray) -> float:
     Ranges over [0, 1/2]; |r| may exceed 1 by at most 1e-10 of roundoff.
     """
     r2 = float(np.dot(bloch, bloch))
-    if r2 > 1.0 + 1e-10:
-        raise ValueError(f"Bloch vector norm {np.sqrt(r2)!r} exceeds 1")
+    if r2 > 1.0 + _BLOCH_NORM_SLACK:
+        raise _bloch_norm_error(np.sqrt(r2))
     return max(0.5 * (1.0 - r2), 0.0)
+
+
+def _bloch_norm_error(norm) -> ValueError:
+    """The error for a Bloch vector of length `norm` beyond roundoff of 1."""
+    return ValueError(f"Bloch vector norm {norm!r} exceeds 1")
 
 
 def von_neumann_entropy_single_spin(bloch: np.ndarray) -> float:
     """-Tr(rho ln rho) in nats for the spin-1/2 state with Bloch vector r."""
     r = float(np.linalg.norm(bloch))
-    if r > 1.0 + 1e-10:
-        raise ValueError(f"Bloch vector norm {r!r} exceeds 1")
+    if r > 1.0 + _BLOCH_NORM_SLACK:
+        raise _bloch_norm_error(r)
     lam = np.clip([(1.0 + r) / 2.0, (1.0 - r) / 2.0], 0.0, 1.0)
     return float(-np.sum(xlogy(lam, lam)))
 

@@ -237,21 +237,19 @@ class TestEvolveEnsemble:
         b = evolve_ensemble(d1, d2, KickParams(2.5), 100, 16, 5, seed=9)
         assert np.array_equal(a.x1, b.x1) and np.array_equal(a.x2, b.x2)
 
-    def test_matches_stepwise_bipartite_map(self):
-        # the vectorized ensemble evolution must agree with stepping each
-        # trajectory through bipartite_step by hand
-        d1, d2 = self.default_dists(j=50)
-        series = evolve_ensemble(d1, d2, KickParams(2.5), 50, 8, 4, seed=3)
-        root = np.random.SeedSequence(3)
-        c1, c2 = root.spawn(2)
-        n1 = spherical_to_cartesian(sample_cap(d1, 8, c1))
-        n2 = spherical_to_cartesian(sample_cap(d2, 8, c2))
-        pair = BipartitePair(n1=n1, n2=n2, j=50)
-        np.testing.assert_array_equal(series.x1[0], pair.x1)
-        for t in range(1, 5):
-            pair = bipartite_step(pair, KickParams(2.5))
-            np.testing.assert_array_equal(series.x1[t], pair.x1)
-            np.testing.assert_array_equal(series.x2[t], pair.x2)
+    @pytest.mark.parametrize("j, kappa", [(1, 0.0), (1.5, 2.5), (100, 6.0)])
+    def test_matches_stepwise_bipartite_map(self, j, kappa):
+        # the stacked (2, N, 3) stepping must agree bit for bit with stepping
+        # the pair through bipartite_step by hand, over a long run
+        params = KickParams(kappa)
+        n1, n2 = sample_pairs(*self.default_dists(j=j), j, 8, seed=3)
+        pair = BipartitePair(n1=n1, n2=n2, j=j)
+        for t, (x1, x2) in enumerate(pair_x_steps(n1, n2, params, j, 2000)):
+            if t:
+                pair = bipartite_step(pair, params)
+            np.testing.assert_array_equal(x1, pair.x1)
+            np.testing.assert_array_equal(x2, pair.x2)
+        assert t == 2000
 
     def test_stacked_ensembles_step_as_each_alone(self):
         params = KickParams(6.0)

@@ -1,11 +1,16 @@
 """Tests for the command-line interface."""
 
 import argparse
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
-from kickedtop.cli import _build_parser, main
+import kickedtop
+from kickedtop import KickedTopError
+from kickedtop.cli import _REPORTED_ERRORS, _build_parser, main
 from kickedtop.experiments import ExperimentConfig
 
 
@@ -177,3 +182,20 @@ def test_every_flag_is_a_config_field():
     for kind, parser in kinds.choices.items():
         dests = {action.dest for action in parser._actions} - {"help", "config", "out"}
         assert dests <= fields, (kind, dests - fields)
+
+
+def test_every_package_error_is_reported_by_the_cli():
+    # each exception class the package defines is a ValueError (bad input)
+    # or a KickedTopError (numerical failure), so the CLI's one-line error
+    # covers any new failure type
+    defined = []
+    for info in pkgutil.iter_modules(kickedtop.__path__):
+        module = importlib.import_module(f"kickedtop.{info.name}")
+        defined += [
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+        ]
+    assert len(defined) >= 5
+    for cls in defined:
+        assert issubclass(cls, (KickedTopError, ValueError)), cls
+        assert issubclass(cls, _REPORTED_ERRORS), cls

@@ -26,7 +26,7 @@ from kickedtop import (
     spherical_to_cartesian,
     thermo_limit_entropy,
 )
-from kickedtop.experiments import EXPERIMENT_KINDS
+from kickedtop.experiments import EXPERIMENT_KINDS, _thermo_series
 
 
 class TestEstimateTeq:
@@ -145,6 +145,32 @@ class TestGridAndMaps:
             + [(6, south), (7, south)]
         )
         assert np.all(np.isnan(result.values))
+
+    def test_thermo_rows_match_each_ensemble_alone(self):
+        # the stacked observer gives each ensemble thermo_limit_entropy's
+        # bits; an ensemble whose mean vector is longer than 1 (scaled
+        # here) fails with that function's message and stays NaN
+        params = KickParams(2.5)
+        starts = [
+            spherical_to_cartesian(sample_cap(
+                CapDistribution(center=SphericalPoint(theta, 2.0), solid_angle=0.01), 30, seed))
+            for seed, theta in enumerate((0.9, 1.6, 2.3))
+        ]
+        starts[1] = 1.5 * starts[1]
+        failures = []
+        values = _thermo_series(starts, [4, 7, 9], params, (3, 8), failures)
+        for row, vecs in enumerate(starts):
+            for _ in range(3):
+                vecs = classical_step(vecs, params)
+            if row == 1:
+                with pytest.raises(ValueError) as alone:
+                    thermo_limit_entropy(vecs)
+                assert failures == [(7, str(alone.value))]
+                assert np.all(np.isnan(values[row]))
+                continue
+            for t in range(6):
+                assert values[row, t] == thermo_limit_entropy(vecs)
+                vecs = classical_step(vecs, params)
 
     def test_mi_map_memory_does_not_grow_with_window_end(self):
         # the ensembles are stepped in place; no (steps + 1, cells * count)
@@ -391,7 +417,8 @@ class TestDatasetOutput:
 # sha256 of (CSV, .meta.json) for small runs; any change to the output
 # bytes shows up here.  The portrait and lyapunov digests were recorded
 # before the orbit kernels were rewritten, the map and MI ones before the
-# whole-grid map kernel, each on the commit before that source change.
+# whole-grid map kernel, `mi-map-k5` and `mi-selftest` before the stacked
+# estimator call, each on the commit before that source change.
 PINNED_DIGESTS = {
     "portrait-grid": (
         dict(kind="phase-portrait", kappa=2.5, grid=(4, 5), steps=50),
@@ -451,6 +478,18 @@ PINNED_DIGESTS = {
         dict(kind="teq-scaling", kappa=2.5, j_list=(25, 50), count=64, steps=120, seed=1),
         "5c7541991909e2447bceab9e1fd12b03e863300feb2ad5a4b490e0e7ad928171",
         "d4581a63834dd2d02991e1dbe82b8f89d4a1785ca72cd06ecbd41a5f2f4ca89c",
+    ),
+    "mi-map-k5": (
+        # k = 5 through the stacked estimator call
+        dict(kind="mi-map", kappa=6.0, j=50, grid=(3, 2), count=40, k=5, window=(2, 6), seed=3),
+        "c6311036897726a63c328f0a73d3c06eefe346a36e2d493ec99f270c1e4fb96d",
+        "7a106d4f77367eeda8ae14041ca20d474ba670e468d6fe1d32ba9ba8c364fa8b",
+    ),
+    "mi-selftest": (
+        # the direct (n, 2) estimator call, at k = 4 and k = 10
+        dict(kind="mi-selftest", count=600, k=4, seed=1),
+        "13c8afc000f31fe133c9ca68b4cedfcf78c859554d981432ac04f471dd84593e",
+        "814b6ff65e2aff2890c384bdfa6b9540364ed8bf68f176f42aa4d67902027ce0",
     ),
 }
 

@@ -152,16 +152,25 @@ class TestKsgMi:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(5, 260), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
-           rounding=st.sampled_from([None, 1, 2]))
-    def test_permutation_invariance_property(self, n, seed, k, rounding):
-        # rounding makes ties and exact duplicates
+           rounding=st.sampled_from([None, 1, 2]), stack=st.integers(1, 5))
+    def test_permutation_invariance_property(self, n, seed, k, rounding, stack):
+        # rounding makes ties and exact duplicates; a (B, n, 2) stack gives
+        # each ensemble the bits it has alone, in stack order
         rng = np.random.default_rng(seed)
-        samples = rng.normal(size=(n, 2))
-        samples[:, 1] += 0.5 * samples[:, 0]
+        samples = rng.normal(size=(stack, n, 2))
+        samples[..., 1] += 0.5 * samples[..., 0]
         if rounding is not None:
             samples = np.round(samples, rounding)
-        shuffled = samples[rng.permutation(n)]
-        assert ksg_mi(shuffled, k=k).value == ksg_mi(samples, k=k).value
+        alone = [ksg_mi(ensemble, k=k).value for ensemble in samples]
+        shuffled = samples[:, rng.permutation(n)]
+        assert ksg_mi(shuffled[0], k=k).value == alone[0]
+        estimate = ksg_mi(samples, k=k)
+        assert estimate.value.shape == (stack,) and estimate.n == n
+        assert estimate.value.tolist() == alone
+        assert ksg_mi(shuffled[::-1], k=k).value.tolist() == alone[::-1]
+        for bad in (samples[..., :1].repeat(3, axis=-1), samples[0, :, 0], samples[np.newaxis]):
+            with pytest.raises(ValueError, match="samples must have shape"):
+                ksg_mi(bad, k=k)
 
     def test_monotone_reparametrization_stability(self):
         # MI is invariant under strictly increasing maps of one marginal;
