@@ -24,7 +24,7 @@ from .lyapunov import (
     initial_tangent_frame,
     jacobian,
 )
-from .mutual_info import MIEstimate, digamma, knn_search, ksg_mi
+from .mutual_info import MIEstimate, digamma, ksg_mi
 from .quantum import (
     NormDriftError,
     SpinOperators,
@@ -39,10 +39,8 @@ from .quantum import (
     von_neumann_entropy_single_spin,
 )
 from .bipartite import (
-    BipartitePair,
     CapDistribution,
     SampleSeries,
-    bipartite_step,
     evolve_ensemble,
     sample_cap,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "jacobian",
     "MIEstimate",
     "digamma",
-    "knn_search",
     "ksg_mi",
     "NormDriftError",
     "SpinOperators",
@@ -94,10 +91,8 @@ __all__ = [
     "spin_operators",
     "thermo_limit_entropy",
     "von_neumann_entropy_single_spin",
-    "BipartitePair",
     "CapDistribution",
     "SampleSeries",
-    "bipartite_step",
     "evolve_ensemble",
     "sample_cap",
     "Dataset",

@@ -21,10 +21,8 @@ import numpy as np
 from .classical import KickParams, SphericalPoint, kick_rotation, spherical_to_cartesian
 
 __all__ = [
-    "BipartitePair",
     "CapDistribution",
     "SampleSeries",
-    "bipartite_step",
     "sample_cap",
     "sample_pairs",
     "pair_x_steps",
@@ -40,60 +38,6 @@ def _unit_j(j) -> float:
     if not np.isfinite(j) or (2 * j) != round(2 * j) or j < 1:
         raise ValueError(f"j must be a half-integer >= 1, got {j!r}")
     return j
-
-
-@dataclass(frozen=True)
-class BipartitePair:
-    """Directions of the two subsystems plus the total spin j.
-
-    n1 and n2 are unit vectors (shape (3,) or a matching batch (..., 3)).
-    """
-
-    n1: np.ndarray
-    n2: np.ndarray
-    j: float
-
-    def __post_init__(self):
-        n1 = np.asarray(self.n1, dtype=np.float64)
-        n2 = np.asarray(self.n2, dtype=np.float64)
-        if n1.shape != n2.shape or n1.shape[-1:] != (3,):
-            raise ValueError(
-                f"n1 and n2 must share a (..., 3) shape, got {n1.shape} and {n2.shape}"
-            )
-        for name, v in (("n1", n1), ("n2", n2)):
-            norms = np.linalg.norm(v, axis=-1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise ValueError(f"{name} must be unit length (worst {norms.max()!r})")
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "n2", n2)
-        object.__setattr__(self, "j", _unit_j(self.j))
-
-    @property
-    def magnitude1(self) -> float:
-        return 0.5
-
-    @property
-    def magnitude2(self) -> float:
-        return self.j - 0.5
-
-    @property
-    def x1(self):
-        """Subsystem-1 share of the normalised total x component."""
-        return self.n1[..., 0] * (0.5 / self.j)
-
-    @property
-    def x2(self):
-        return self.n2[..., 0] * ((self.j - 0.5) / self.j)
-
-
-def bipartite_step(state: BipartitePair, params: KickParams) -> BipartitePair:
-    """One shared-kick period; the coupling enters only through phi_c."""
-    phase = params.kappa * (state.x1 + state.x2)
-    return BipartitePair(
-        n1=kick_rotation(state.n1, phase),
-        n2=kick_rotation(state.n2, phase),
-        j=state.j,
-    )
 
 
 @dataclass(frozen=True)
@@ -226,10 +170,6 @@ class SampleSeries:
     @property
     def count(self) -> int:
         return self.x1.shape[1]
-
-    def pairs_at(self, step: int) -> np.ndarray:
-        """(count, 2) array of (x1, x2) samples after `step` periods."""
-        return np.column_stack([self.x1[step], self.x2[step]])
 
 
 def evolve_ensemble(

@@ -617,6 +617,9 @@ def _run_mi_dynamics(config: ExperimentConfig) -> Dataset:
 def _run_teq_scaling(config: ExperimentConfig) -> Dataset:
     kappa = _require(config, "kappa")
     j_list = _require(config, "j_list")
+    if len({float(j) for j in j_list}) < 2:
+        # a line through one distinct point is undetermined; polyfit would warn
+        raise ValueError(f"teq-scaling needs at least two distinct j values, got {list(j_list)}")
     count = config.count if config.count is not None else 500
     steps = config.steps if config.steps is not None else 500
     params = KickParams(kappa)

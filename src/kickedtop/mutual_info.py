@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = ["MIEstimate", "digamma", "knn_search", "ksg_mi"]
+__all__ = ["MIEstimate", "digamma", "ksg_mi"]
 
 _JITTER_SCALE = 1e-10
 
@@ -72,27 +72,6 @@ def _psi_table(n: int) -> np.ndarray:
     table = digamma(np.arange(1, n + 1))
     table.setflags(write=False)
     return table
-
-
-def knn_search(points, query_index: int, k: int):
-    """k nearest neighbours of one point under the max norm, self excluded.
-
-    points: (n, d) array.  Ties in distance are broken by index order.
-    Returns (distances, indices), both length k, distances ascending.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError(f"points must be 2d, got shape {pts.shape}")
-    n = pts.shape[0]
-    if not 0 <= query_index < n:
-        raise IndexError(f"query_index {query_index} out of range for {n} points")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, n-1], got k={k}, n={n}")
-    dist = np.max(np.abs(pts - pts[query_index]), axis=-1)
-    dist[query_index] = np.inf
-    order = np.lexsort((np.arange(n), dist))
-    idx = order[:k]
-    return dist[idx], idx
 
 
 def _standardise(values: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Tests for the coupled two-subsystem classical map and patch sampling."""
 
+import math
+from array import array
+
 import numpy as np
 import pytest
 
 from kickedtop import (
-    BipartitePair,
     CapDistribution,
     KickParams,
     SphericalPoint,
-    bipartite_step,
     evolve_ensemble,
     evolve_trajectory,
     sample_cap,
@@ -21,89 +22,71 @@ def unit(theta, phi):
     return spherical_to_cartesian(SphericalPoint(theta, phi))
 
 
-class TestBipartitePair:
-    def test_magnitudes(self):
-        pair = BipartitePair(n1=unit(1.0, 2.0), n2=unit(2.0, 1.0), j=100)
-        assert pair.magnitude1 == 0.5
-        assert pair.magnitude2 == 99.5
+def pair_orbit(n1, n2, kappa, j, steps):
+    """(steps + 1, 2, 3) orbit of one pair, stepped on Python floats.
 
-    def test_x_shares_are_bounded(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            v = rng.normal(size=(2, 3))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            pair = BipartitePair(n1=v[0], n2=v[1], j=100)
-            assert abs(pair.x1) <= 0.5 / 100 + 1e-15
-            assert abs(pair.x2) <= 99.5 / 100 + 1e-15
-
-    def test_rejects_non_unit_vectors(self):
-        with pytest.raises(ValueError):
-            BipartitePair(n1=np.array([2.0, 0.0, 0.0]), n2=unit(1.0, 1.0), j=10)
-
-    def test_rejects_invalid_j(self):
-        with pytest.raises(ValueError):
-            BipartitePair(n1=unit(1.0, 1.0), n2=unit(1.0, 1.0), j=0.5)
-        with pytest.raises(ValueError):
-            BipartitePair(n1=unit(1.0, 1.0), n2=unit(1.0, 1.0), j=1.3)
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            BipartitePair(n1=unit(1.0, 1.0), n2=np.ones((2, 3)) / np.sqrt(3), j=10)
+    Reference for pair_x_steps: the shared phase kappa * (x1 + x2) with
+    x1 = (1/2)/j * n1_x and x2 = (j - 1/2)/j * n2_x is taken before the
+    step, then each direction turns a quarter about y and through that
+    phase about z, with math.cos/math.sin.
+    """
+    w1, w2 = 0.5 / j, (j - 0.5) / j
+    cos, sin = math.cos, math.sin
+    (a, b, c), (d, e, f) = np.asarray(n1).tolist(), np.asarray(n2).tolist()
+    out = array("d", (a, b, c, d, e, f))
+    extend = out.extend
+    for _ in range(steps):
+        phase = kappa * (w1 * a + w2 * d)
+        co = cos(phase)
+        si = sin(phase)
+        a, b, c = c * co + b * si, b * co - c * si, -a
+        d, e, f = f * co + e * si, e * co - f * si, -d
+        extend((a, b, c, d, e, f))
+    return np.frombuffer(out).reshape(steps + 1, 2, 3)
 
 
 class TestBipartiteStep:
     def test_kappa_zero_decouples_to_quarter_turns(self):
-        pair = BipartitePair(n1=unit(0.9, 0.2), n2=unit(1.7, 4.0), j=50)
-        stepped = bipartite_step(pair, KickParams(0.0))
-        for before, after in ((pair.n1, stepped.n1), (pair.n2, stepped.n2)):
-            np.testing.assert_array_equal(after, [before[2], before[1], -before[0]])
+        # (x, y, z) -> (z, y, -x): x runs through x, z, -x, -z with period 4
+        n1, n2 = unit(0.9, 0.2), unit(1.7, 4.0)
+        weights = np.array([0.5 / 50, 49.5 / 50])
+        start = np.stack([n1, n2])
+        cycle = [start[:, 0], start[:, 2], -start[:, 0], -start[:, 2]]
+        steps = pair_x_steps(n1[None], n2[None], KickParams(0.0), 50, 8)
+        for t, xs in enumerate(steps):
+            np.testing.assert_array_equal(xs[:, 0], weights * cycle[t % 4])
+        orbit = pair_orbit(n1, n2, 0.0, 50, 1)
+        np.testing.assert_array_equal(orbit[1], start[:, [2, 1, 0]] * [1, 1, -1])
 
     def test_norms_survive_many_steps(self):
-        pair = BipartitePair(n1=unit(0.9, 2.0), n2=unit(2.0, 0.7), j=100)
-        params = KickParams(2.5)
-        for _ in range(100_000):
-            pair = bipartite_step(pair, params)
-        assert abs(np.linalg.norm(pair.n1) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(pair.n2) - 1.0) < 1e-12
+        orbit = pair_orbit(unit(0.9, 2.0), unit(2.0, 0.7), 2.5, 100.0, 100_000)
+        assert abs(np.linalg.norm(orbit[-1, 0]) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(orbit[-1, 1]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("start2", [(np.pi / 2, np.pi / 2), (1.0, 0.4)])
     def test_subsystem_two_approaches_single_top_as_j_grows(self, start2):
         # subsystem 1 contributes O(1/j) to the shared phase, so at large j
         # subsystem 2 follows the uncoupled map from the same start
         params = KickParams(1.5)
-        n2_start = unit(*start2)
+        n1_start, n2_start = unit(0.9, 2.0), unit(*start2)
         single = evolve_trajectory(n2_start, params, 50)
         deviations = {}
         for j in (1e3, 1e4):
-            pair = BipartitePair(n1=unit(0.9, 2.0), n2=n2_start, j=j)
-            worst = 0.0
-            for step in range(1, 51):
-                pair = bipartite_step(pair, params)
-                worst = max(worst, float(np.max(np.abs(pair.n2 - single[step]))))
-            deviations[j] = worst
+            orbit = pair_orbit(n1_start, n2_start, params.kappa, j, 50)
+            xs = np.array(list(pair_x_steps(n1_start[None], n2_start[None], params, j, 50)))
+            np.testing.assert_array_equal(xs[:, 1, 0], (j - 0.5) / j * orbit[:, 1, 0])
+            deviations[j] = float(np.max(np.abs(orbit[1:, 1] - single[1:])))
         assert deviations[1e3] < 0.02
         assert deviations[1e4] < deviations[1e3] / 5
 
     def test_label_swap_symmetry_at_equal_magnitudes(self):
         # j=1 gives both subsystems magnitude 1/2, so relabeling commutes
         # with the step exactly
-        a, b = unit(0.9, 0.2), unit(1.7, 4.0)
+        a, b = unit(0.9, 0.2)[None], unit(1.7, 4.0)[None]
         params = KickParams(2.5)
-        stepped = bipartite_step(BipartitePair(n1=a, n2=b, j=1), params)
-        swapped = bipartite_step(BipartitePair(n1=b, n2=a, j=1), params)
-        assert np.array_equal(stepped.n1, swapped.n2)
-        assert np.array_equal(stepped.n2, swapped.n1)
-
-    def test_batched_step(self):
-        rng = np.random.default_rng(8)
-        v = rng.normal(size=(2, 6, 3))
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        pair = BipartitePair(n1=v[0], n2=v[1], j=20)
-        stepped = bipartite_step(pair, KickParams(3.0))
-        for i in range(6):
-            solo = bipartite_step(BipartitePair(n1=v[0, i], n2=v[1, i], j=20), KickParams(3.0))
-            np.testing.assert_array_equal(stepped.n1[i], solo.n1)
-            np.testing.assert_array_equal(stepped.n2[i], solo.n2)
+        steps = zip(pair_x_steps(a, b, params, 1, 50), pair_x_steps(b, a, params, 1, 50))
+        for stepped, swapped in steps:
+            np.testing.assert_array_equal(stepped, swapped[::-1])
 
 
 class TestCapDistribution:
@@ -223,14 +206,6 @@ class TestEvolveEnsemble:
         assert np.max(np.abs(series.x1)) <= 0.5 / 100 + 1e-15
         assert np.max(np.abs(series.x2)) <= 99.5 / 100 + 1e-15
 
-    def test_pairs_at_stacks_columns(self):
-        d1, d2 = self.default_dists()
-        series = evolve_ensemble(d1, d2, KickParams(2.5), 100, 16, 3, seed=0)
-        pairs = series.pairs_at(2)
-        assert pairs.shape == (16, 2)
-        np.testing.assert_array_equal(pairs[:, 0], series.x1[2])
-        np.testing.assert_array_equal(pairs[:, 1], series.x2[2])
-
     def test_deterministic(self):
         d1, d2 = self.default_dists()
         a = evolve_ensemble(d1, d2, KickParams(2.5), 100, 16, 5, seed=9)
@@ -239,16 +214,14 @@ class TestEvolveEnsemble:
 
     @pytest.mark.parametrize("j, kappa", [(1, 0.0), (1.5, 2.5), (100, 6.0)])
     def test_matches_stepwise_bipartite_map(self, j, kappa):
-        # the stacked (2, N, 3) stepping must agree bit for bit with stepping
-        # the pair through bipartite_step by hand, over a long run
+        # the stacked (2, N, 3) stepping must agree bit for bit with each
+        # pair stepped alone on Python floats, over a long run
         params = KickParams(kappa)
         n1, n2 = sample_pairs(*self.default_dists(j=j), j, 8, seed=3)
-        pair = BipartitePair(n1=n1, n2=n2, j=j)
-        for t, (x1, x2) in enumerate(pair_x_steps(n1, n2, params, j, 2000)):
-            if t:
-                pair = bipartite_step(pair, params)
-            np.testing.assert_array_equal(x1, pair.x1)
-            np.testing.assert_array_equal(x2, pair.x2)
+        orbits = np.stack([pair_orbit(a, b, kappa, j, 2000) for a, b in zip(n1, n2)], axis=1)
+        expected = np.array([[0.5 / j], [(j - 0.5) / j]]) * orbits[..., 0].transpose(0, 2, 1)
+        for t, xs in enumerate(pair_x_steps(n1, n2, params, j, 2000)):
+            np.testing.assert_array_equal(xs, expected[t])
         assert t == 2000
 
     def test_stacked_ensembles_step_as_each_alone(self):

@@ -2,9 +2,11 @@
 
 import argparse
 import importlib
+import importlib.util
 import inspect
 import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +176,20 @@ class TestFailurePaths:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("j_list", [["25"], ["25", "25"]], ids=["one-j", "repeated-j"])
+    def test_teq_scaling_with_one_distinct_j_is_one_line_error(self, tmp_path, capsys, j_list):
+        # one distinct j used to give a fitted line through one point,
+        # written as loglog_slope 0.3413 with loglog_r2 1.0
+        argv = ["teq-scaling", "--kappa", "2.5", "--j-list", *j_list]
+        code = main(argv + ["--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        got = [float(j) for j in j_list]
+        assert captured.err.splitlines() == [
+            f"error: teq-scaling needs at least two distinct j values, got {got}"
+        ]
+        assert not (tmp_path / "run").exists()
+
 
 def test_every_flag_is_a_config_field():
     # _config_from_args copies flags by ExperimentConfig field name
@@ -199,3 +215,19 @@ def test_every_package_error_is_reported_by_the_cli():
     for cls in defined:
         assert issubclass(cls, (KickedTopError, ValueError)), cls
         assert issubclass(cls, _REPORTED_ERRORS), cls
+
+
+def test_every_traced_place_resolves():
+    # perfbench/tracer.py looks these names up to wrap them in traced
+    # benchmark runs, so deleting or renaming one breaks those runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.PLACES
+    for owner, attr, label in tracer.PLACES:
+        module_name, _, class_name = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if class_name:
+            target = getattr(target, class_name)
+        assert callable(getattr(target, attr)), label

@@ -6,7 +6,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickedtop import digamma, knn_search, ksg_mi
+from kickedtop import digamma, ksg_mi
 from kickedtop.mutual_info import _joint_knn_radii, _psi_table
 
 
@@ -64,33 +64,14 @@ class TestDigamma:
 
 
 class TestKnnSearch:
+    # _joint_knn_radii is the estimator's one neighbour search
     def test_three_point_line(self):
-        dist, idx = knn_search(np.array([[0.0], [1.0], [3.0]]), 1, 1)
-        assert idx[0] == 0
-        assert dist[0] == 1.0
+        radii = _joint_knn_radii(np.array([[0.0], [1.0], [3.0]]), 1)
+        np.testing.assert_array_equal(radii, [1.0, 1.0, 2.0])
 
     def test_duplicate_gives_zero_distance(self):
         pts = np.array([[0.5, 0.5], [0.5, 0.5], [2.0, 2.0]])
-        dist, idx = knn_search(pts, 0, 1)
-        assert dist[0] == 0.0
-        assert idx[0] == 1
-
-    def test_ties_break_by_index(self):
-        pts = np.array([[0.0], [1.0], [-1.0], [1.0]])
-        _, idx = knn_search(pts, 0, 3)
-        np.testing.assert_array_equal(idx, [1, 2, 3])
-
-    def test_matches_brute_force_oracle(self):
-        rng = np.random.default_rng(42)
-        pts = rng.normal(size=(500, 2))
-        cheb = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1)
-        np.fill_diagonal(cheb, np.inf)
-        for qi in range(0, 500, 23):
-            order = np.argsort(cheb[qi], kind="stable")
-            for k in (1, 3, 10):
-                dist, idx = knn_search(pts, qi, k)
-                np.testing.assert_array_equal(idx, order[:k])
-                np.testing.assert_array_equal(dist, cheb[qi][order[:k]])
+        np.testing.assert_array_equal(_joint_knn_radii(pts, 1), [0.0, 0.0, 1.5])
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n", [5, 30, 199, 500])
@@ -103,17 +84,6 @@ class TestKnnSearch:
         np.fill_diagonal(cheb, np.inf)
         brute = np.sort(cheb, axis=1)[:, k - 1]
         np.testing.assert_array_equal(_joint_knn_radii(pts, k), brute)
-
-    def test_rejects_bad_k(self):
-        pts = np.zeros((4, 2))
-        with pytest.raises(ValueError):
-            knn_search(pts, 0, 0)
-        with pytest.raises(ValueError):
-            knn_search(pts, 0, 4)
-
-    def test_rejects_bad_query_index(self):
-        with pytest.raises(IndexError):
-            knn_search(np.zeros((4, 2)), 7, 1)
 
 
 class TestKsgMi:
