@@ -59,7 +59,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
-        loaded.pop("kind", None)
+        kind = loaded.pop("kind", args.kind)
+        if kind != args.kind:
+            raise ValueError(f"config file kind {kind!r} does not match the subcommand {args.kind!r}")
         settings.update(loaded)
     for field in dataclasses.fields(ExperimentConfig):
         value = getattr(args, field.name, None)

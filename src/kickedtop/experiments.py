@@ -13,7 +13,6 @@ equilibrium maps.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -409,6 +408,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown kind {self.kind!r}; choose from {sorted(EXPERIMENT_KINDS)}"
             )
+        for name in ("center", "k", "spread1", "seed"):
+            if getattr(self, name) is None:  # fields with a set default; a JSON null reaches them
+                raise ValueError(f"{name} must not be null")
         for name in ("kappa", "j", "spread1"):
             value = getattr(self, name)
             if value is not None and not _is_real(value):
@@ -441,6 +443,8 @@ class ExperimentConfig:
             raise ValueError(f"center theta must be in [0, pi], got {theta!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("count", "steps", "n_blocks", "steps_per_block"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -473,9 +477,24 @@ def _pair(name: str, value, check) -> tuple:
     return tuple(value)
 
 
+# rows rendered per write call: about 0.5 MB of text for a portrait, so
+# the transient string stays small next to the rows themselves
+_WRITE_CHUNK_ROWS = 4096
+
+# characters that make csv.writer quote a field under QUOTE_MINIMAL
+_CSV_SPECIALS = ',"\r\n'
+
+
 @dataclass
 class Dataset:
-    """Tabular result of a run plus everything needed to reproduce it."""
+    """Tabular result of a run plus everything needed to reproduce it.
+
+    Row contract: each row is a tuple with one field per column (at least
+    two columns), and each field is a native int, float or bool, or a str
+    free of the CSV specials `,`, `"`, CR and LF.  The CSV then holds
+    exactly what csv.writer(lineterminator="\n") would write: str() of
+    each field, unquoted.  A row that would need quoting is refused.
+    """
 
     kind: str
     columns: tuple
@@ -483,19 +502,45 @@ class Dataset:
     meta: dict
 
     def write(self, outdir) -> tuple:
-        """Write <kind>.csv and <kind>.meta.json under `outdir`; returns paths."""
+        """Write <kind>.csv and <kind>.meta.json under `outdir`; returns paths.
+
+        ValueError, and no CSV left behind, if a row would need CSV quoting.
+        """
+        if len(self.columns) < 2:
+            # csv.writer quotes a lone empty field, which the checks below cannot see
+            raise ValueError(f"a dataset needs at least two columns, got {self.columns!r}")
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         csv_path = outdir / f"{self.kind}.csv"
         meta_path = outdir / f"{self.kind}.meta.json"
-        with open(csv_path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(self.columns)
-            writer.writerows(self.rows)
+        line = ",".join(["%s"] * len(self.columns)) + "\n"
+        try:
+            with open(csv_path, "w", newline="") as handle:
+                handle.write(_csv_text(line, [tuple(self.columns)]))
+                for start in range(0, len(self.rows), _WRITE_CHUNK_ROWS):
+                    handle.write(_csv_text(line, self.rows[start:start + _WRITE_CHUNK_ROWS]))
+        except BaseException:
+            csv_path.unlink(missing_ok=True)
+            raise
         with open(meta_path, "w") as handle:
             json.dump(self.meta, handle, indent=2, sort_keys=True, default=_json_safe)
             handle.write("\n")
         return csv_path, meta_path
+
+
+def _csv_text(line: str, rows: list) -> str:
+    """`rows` rendered with the `line` format; ValueError if any needs quoting.
+
+    `line` has no quote or CR and one comma between fields, so any extra
+    comma, newline, quote or CR in the text came from a field.
+    """
+    text = "".join([line % row for row in rows])  # TypeError unless tuples of the right length
+    if ('"' in text or "\r" in text or text.count("\n") != len(rows)
+            or text.count(",") != len(rows) * line.count(",")):
+        row = next(row for row in rows
+                   if any(c in str(field) for field in row for c in _CSV_SPECIALS))
+        raise ValueError(f"row {row!r} has a field with one of , \" CR LF; it would need CSV quoting")
+    return text
 
 
 def _json_safe(value):

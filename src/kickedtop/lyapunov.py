@@ -12,6 +12,7 @@ with alpha_i the pre-normalisation length of the leading vector at block i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -134,6 +135,16 @@ def initial_tangent_frame(point: SphericalPoint) -> TangentFrame:
     return TangentFrame(w1=w1, w2=w2)
 
 
+def _norm(column: np.ndarray) -> float:
+    """Euclidean norm with the bits of np.linalg.norm, without its dispatch.
+
+    np.linalg.norm takes sqrt(x.dot(x)) of the raveled, contiguous copy;
+    this is the same dot on the same copy, then the same IEEE sqrt.
+    """
+    c = column.copy()
+    return math.sqrt(c.dot(c))
+
+
 def benettin_lyapunov(
     start: SphericalPoint,
     params: KickParams,
@@ -162,14 +173,14 @@ def benettin_lyapunov(
     for block in range(n_blocks):
         for jac in islice(jacobians, steps_per_block):
             w = jac @ w
-        alpha = float(np.linalg.norm(w[:, 0]))
+        alpha = _norm(w[:, 0])
         if not alpha > _NORM_FLOOR:
             raise DegenerateTangentError(
                 f"leading tangent norm {alpha!r} underflowed at block {block}"
             )
         w[:, 0] /= alpha
         w[:, 1] -= (w[:, 0] @ w[:, 1]) * w[:, 0]
-        beta = float(np.linalg.norm(w[:, 1]))
+        beta = _norm(w[:, 1])
         if not beta > _NORM_FLOOR:
             raise DegenerateTangentError(
                 f"second tangent norm {beta!r} underflowed at block {block}"

@@ -112,6 +112,23 @@ class TestConfigFile:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "run").exists()
 
+    def test_file_kind_must_match_the_subcommand(self, tmp_path, capsys):
+        # a mismatched kind used to be dropped, running the subcommand's kind
+        path = tmp_path / "run.json"
+        fields = {"kappa": 2.5, "grid": [2, 2], "steps": 3}
+        path.write_text(json.dumps({"kind": "lyapunov", **fields}))
+        code = main(["phase-portrait", "--config", str(path), "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            "error: config file kind 'lyapunov' does not match the subcommand 'phase-portrait'"
+        ]
+        assert not (tmp_path / "run").exists()
+        path.write_text(json.dumps({"kind": "phase-portrait", **fields}))
+        code = main(["phase-portrait", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert (tmp_path / "run" / "phase-portrait.csv").is_file()
+
     def test_non_object_json_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text(json.dumps([1, 2, 3]))
@@ -174,6 +191,19 @@ class TestFailurePaths:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "phase-portrait --kappa 2.5 --grid 2 2 --steps 3",
+        "mi-dynamics --kappa 6 --count 30 --steps 4",
+    ], ids=["deterministic", "seeded"])
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys, argv):
+        # the portrait used to record "seed": -3; mi-dynamics failed in numpy
+        # with a message that did not name the field
+        code = main(argv.split() + ["--seed", "-3", "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == ["error: seed must be >= 0, got -3"]
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("j_list", [["25"], ["25", "25"]], ids=["one-j", "repeated-j"])

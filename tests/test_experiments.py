@@ -1,5 +1,6 @@
 """Tests for equilibration analysis, maps, and the experiment runners."""
 
+import csv
 import hashlib
 import json
 import re
@@ -10,6 +11,7 @@ import pytest
 
 from kickedtop import (
     CapDistribution,
+    Dataset,
     ExperimentConfig,
     KickParams,
     NotEquilibratedError,
@@ -26,7 +28,7 @@ from kickedtop import (
     spherical_to_cartesian,
     thermo_limit_entropy,
 )
-from kickedtop.experiments import EXPERIMENT_KINDS, _thermo_series
+from kickedtop.experiments import _WRITE_CHUNK_ROWS, EXPERIMENT_KINDS, _thermo_series
 
 
 class TestEstimateTeq:
@@ -244,6 +246,7 @@ class TestExperimentConfig:
         ("count", 2.5), ("steps", "5"), ("n_blocks", 1.0), ("steps_per_block", 2.5),
         ("seed", "a"), ("k", 3.0), ("grid", "ab"), ("grid", (2, 2.5)), ("window", (1, 2, 3)),
         ("center", 3), ("j_list", ()), ("j_list", (25, "a")), ("initials", ((0.3,),)),
+        ("seed", None), ("k", None), ("center", None), ("spread1", None),
     ])
     def test_rejects_wrongly_typed_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -368,14 +371,28 @@ SMALL_CONFIGS = {
 }
 
 
+# every kind's rows, and a portrait longer than one write chunk (5,025 rows)
+WRITER_CONFIGS = {
+    **{kind: dict(kind=kind, **cfg) for kind, cfg in SMALL_CONFIGS.items()},
+    "portrait-multi-chunk": dict(kind="phase-portrait", kappa=2.5, grid=(5, 5), steps=200),
+}
+
+# the native field types no runner writes
+HAND_BUILT = Dataset("probe", ("flag", "n", "x", "label"), [
+    (True, -3, 1e-300, "gauss_rho_0.3"),
+    (False, 0, float("nan"), ""),
+    (True, 10**20, float("-inf"), "a b"),
+    (False, 7, -0.0, "tab\there"),
+], {})
+
+
 class TestDatasetOutput:
     def test_small_configs_cover_every_kind(self):
         assert set(SMALL_CONFIGS) == set(EXPERIMENT_KINDS)
 
     @pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
     def test_rows_hold_native_scalars(self, kind):
-        # csv.writer prints these exactly (str for int, repr for float);
-        # a numpy scalar would print as e.g. "np.float64(0.5)"
+        # the row contract of Dataset.write (str for int, repr for float)
         ds = run_experiment(ExperimentConfig(kind=kind, **SMALL_CONFIGS[kind]))
         assert ds.rows
         for row in ds.rows:
@@ -401,6 +418,37 @@ class TestDatasetOutput:
         for line, row in zip(lines[1:], ds.rows):
             got = tuple(float(cell) for cell in line.split(","))
             assert got == tuple(float(c) for c in row)
+
+    @pytest.mark.parametrize("name", sorted(WRITER_CONFIGS) + ["hand-built"])
+    def test_csv_bytes_equal_csv_writer(self, tmp_path, name):
+        # csv.writer is the reference rendering of the row contract
+        if name == "hand-built":
+            ds = HAND_BUILT
+        else:
+            ds = run_experiment(ExperimentConfig(**WRITER_CONFIGS[name]))
+        if name == "portrait-multi-chunk":
+            assert len(ds.rows) > _WRITE_CHUNK_ROWS
+        csv_path, _ = ds.write(tmp_path)
+        with open(tmp_path / "oracle.csv", "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(ds.columns)
+            writer.writerows(ds.rows)
+        assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("special", [",", '"', "\r", "\n"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_field_needing_quotes_is_refused(self, tmp_path, special):
+        # the bad row sits in the second chunk, after one chunk was written
+        rows = [("ok", i) for i in range(_WRITE_CHUNK_ROWS)] + [(f"a{special}b", 1)]
+        with pytest.raises(ValueError, match="CSV quoting"):
+            Dataset("probe", ("case", "n"), rows, {}).write(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_column_dataset_is_refused(self, tmp_path):
+        # csv.writer writes this row as '""'; a bare line would be empty
+        with pytest.raises(ValueError, match="at least two columns"):
+            Dataset("probe", ("case",), [("",)], {}).write(tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_meta_sidecar_holds_config_and_conventions(self, tmp_path):
         ds = run_experiment(
