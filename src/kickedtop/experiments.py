@@ -1,10 +1,11 @@
 """Experiment runners: named, reproducible computations with CSV output.
 
-Each runner takes an ExperimentConfig, resolves per-kind defaults, and
-returns a Dataset (fixed column schema plus a metadata dictionary).  The
-Dataset writes a CSV file and a .meta.json sidecar capturing every
-parameter, the seed, the package version, and the unit conventions, so a
-rerun of the same config is byte-identical.
+run_experiment fills an ExperimentConfig's unset fields from its kind's
+row of _DEFAULTS; the kind's runner then turns it into a Dataset (fixed
+column schema plus a metadata dictionary).  The Dataset writes a CSV file
+and a .meta.json sidecar capturing every parameter, the seed, the package
+version, and the unit conventions, so a rerun of the same config is
+byte-identical.
 
 Analysis helpers shared by the runners live here as well: the
 equilibration-time estimator, the growth-rate fit, and the phase-space
@@ -17,7 +18,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 
@@ -383,8 +384,8 @@ def equilibrium_map(kind: str, *, kappa, j, grid, count, window,
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    Unset (None) fields are resolved to per-kind defaults by the runner;
-    the resolved values are recorded in the output metadata.
+    run_experiment resolves unset (None) fields to their kind's _DEFAULTS
+    before the runner sees them; the metadata records the resolved values.
     """
 
     kind: str
@@ -504,8 +505,11 @@ class Dataset:
     def write(self, outdir) -> tuple:
         """Write <kind>.csv and <kind>.meta.json under `outdir`; returns paths.
 
-        ValueError, and no CSV left behind, if a row would need CSV quoting.
+        ValueError, and no file left behind, if a row would need CSV quoting
+        or the meta holds a NaN or an infinity (not valid JSON).
         """
+        meta_text = json.dumps(self.meta, allow_nan=False, indent=2, sort_keys=True,
+                               default=_json_safe)
         if len(self.columns) < 2:
             # csv.writer quotes a lone empty field, which the checks below cannot see
             raise ValueError(f"a dataset needs at least two columns, got {self.columns!r}")
@@ -522,9 +526,7 @@ class Dataset:
         except BaseException:
             csv_path.unlink(missing_ok=True)
             raise
-        with open(meta_path, "w") as handle:
-            json.dump(self.meta, handle, indent=2, sort_keys=True, default=_json_safe)
-            handle.write("\n")
+        meta_path.write_text(meta_text + "\n")
         return csv_path, meta_path
 
 
@@ -553,75 +555,48 @@ def _json_safe(value):
     raise TypeError(f"not JSON serialisable: {type(value)!r}")
 
 
-def _base_meta(kind: str, resolved: dict) -> dict:
+def _meta(config: ExperimentConfig, *names, **extras) -> dict:
+    """Version, units, seed, the named config fields (tuples as lists) and `extras`."""
     from . import __version__
 
-    meta = {"kind": kind, "version": __version__, "units": UNIT_CONVENTIONS}
-    meta.update(resolved)
+    meta = {"kind": config.kind, "version": __version__, "units": UNIT_CONVENTIONS}
+    for name in ("seed",) + names:
+        value = getattr(config, name)
+        meta[name] = list(value) if isinstance(value, tuple) else value
+    meta.update(extras)
     return meta
 
 
-def _require(config: ExperimentConfig, name: str):
-    value = getattr(config, name)
-    if value is None:
-        raise ValueError(f"{config.kind} requires {name}")
-    return value
-
-
-def _default_entropy_window(kappa: float) -> tuple:
-    # weak kicking grows entropy logarithmically; give it a late window
-    return (20, 40) if kappa >= 1.5 else (60, 100)
-
-
 def _run_phase_portrait(config: ExperimentConfig) -> Dataset:
-    kappa = _require(config, "kappa")
-    steps = config.steps if config.steps is not None else 200
     if config.initials is not None:
         initials = [tuple(map(float, point)) for point in config.initials]
     else:
-        grid = config.grid if config.grid is not None else (20, 20)
-        thetas, phis = grid_centers(*grid)
+        thetas, phis = grid_centers(*config.grid)
         initials = [(float(t), float(p)) for t in thetas for p in phis]
-    records = phase_portrait(initials, KickParams(kappa), steps)
-    rows = records.tolist()
-    meta = _base_meta(config.kind, {
-        "kappa": kappa, "steps": steps, "initials": initials, "seed": config.seed,
-        "note": "grid defaults reconstruct the portrait; initials override it",
-    })
+    rows = phase_portrait(initials, KickParams(config.kappa), config.steps).tolist()
+    meta = _meta(config, "kappa", "steps", initials=initials,
+                 note="grid defaults reconstruct the portrait; initials override it")
     return Dataset(config.kind, ("traj_id", "step", "theta", "phi", "x", "y", "z"), rows, meta)
 
 
 def _run_lyapunov(config: ExperimentConfig) -> Dataset:
-    kappa = _require(config, "kappa")
-    n_blocks = config.n_blocks if config.n_blocks is not None else 1000
-    steps_per_block = config.steps_per_block if config.steps_per_block is not None else 10
-    estimate = benettin_lyapunov(
-        SphericalPoint(*config.center), KickParams(kappa), n_blocks, steps_per_block
-    )
+    estimate = benettin_lyapunov(SphericalPoint(*config.center), KickParams(config.kappa),
+                                 config.n_blocks, config.steps_per_block)
     rows = list(enumerate(estimate.block_series.tolist(), start=1))
-    meta = _base_meta(config.kind, {
-        "kappa": kappa, "center": list(config.center),
-        "n_blocks": estimate.n, "steps_per_block": estimate.s,
-        "lambda": estimate.lam, "seed": config.seed,
-    })
+    meta = _meta(config, "kappa", "center", "n_blocks", "steps_per_block",
+                 **{"lambda": estimate.lam})
     return Dataset(config.kind, ("block", "lambda_running"), rows, meta)
 
 
 def _run_entropy_dynamics(config: ExperimentConfig) -> Dataset:
-    kappa = _require(config, "kappa")
-    j = config.j if config.j is not None else 20
-    steps = config.steps if config.steps is not None else 100
-    state = coherent_state(j, *config.center)
-    bloch = evolve_expectations(state, floquet_unitary(j, kappa), steps)
+    state = coherent_state(config.j, *config.center)
+    bloch = evolve_expectations(state, floquet_unitary(config.j, config.kappa), config.steps)
     rows = [
         (step, *r.tolist(), linear_entropy(r), von_neumann_entropy_single_spin(r))
         for step, r in enumerate(bloch)
     ]
     s_lin = np.array([row[4] for row in rows])
-    meta = _base_meta(config.kind, {
-        "kappa": kappa, "j": j, "steps": steps, "center": list(config.center),
-        "seed": config.seed,
-    })
+    meta = _meta(config, "kappa", "j", "steps", "center")
     try:
         teq = estimate_teq(s_lin)
         meta["teq"] = teq.teq
@@ -635,18 +610,12 @@ def _run_entropy_dynamics(config: ExperimentConfig) -> Dataset:
 
 
 def _run_mi_dynamics(config: ExperimentConfig) -> Dataset:
-    kappa = _require(config, "kappa")
-    j = config.j if config.j is not None else 100
-    count = config.count if config.count is not None else 1000
-    steps = config.steps if config.steps is not None else 100
-    start = _mi_start(config.center, config.spread1, j, count, config.seed)
-    mi = _mi_series([start], [0], KickParams(kappa), j, (0, steps), config.k)[0]
+    start = _mi_start(config.center, config.spread1, config.j, config.count, config.seed)
+    mi = _mi_series([start], [0], KickParams(config.kappa), config.j, (0, config.steps),
+                    config.k)[0]
     rows = list(enumerate(mi.tolist()))
-    meta = _base_meta(config.kind, {
-        "kappa": kappa, "j": j, "count": count, "steps": steps,
-        "center": list(config.center), "k": config.k,
-        "spread1": config.spread1, "spread2": 1.0 / j, "seed": config.seed,
-    })
+    meta = _meta(config, "kappa", "j", "count", "steps", "center", "k", "spread1",
+                 spread2=1.0 / config.j)
     try:
         teq = estimate_teq(mi)
         fit = fit_growth_rate(mi, teq.tail_mean)
@@ -660,33 +629,28 @@ def _run_mi_dynamics(config: ExperimentConfig) -> Dataset:
 
 
 def _run_teq_scaling(config: ExperimentConfig) -> Dataset:
-    kappa = _require(config, "kappa")
-    j_list = _require(config, "j_list")
-    if len({float(j) for j in j_list}) < 2:
+    js = [float(j) for j in config.j_list]
+    if len(set(js)) < 2:
         # a line through one distinct point is undetermined; polyfit would warn
-        raise ValueError(f"teq-scaling needs at least two distinct j values, got {list(j_list)}")
-    count = config.count if config.count is not None else 500
-    steps = config.steps if config.steps is not None else 500
-    params = KickParams(kappa)
+        raise ValueError(f"teq-scaling needs at least two distinct j values, got {list(config.j_list)}")
+    params = KickParams(config.kappa)
     rows = []
-    for index, j in enumerate(j_list):
+    for index, j in enumerate(js):
         seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-        start = _mi_start(config.center, config.spread1, float(j), count, seed)
-        mi = _mi_series([start], [index], params, float(j), (0, steps), config.k)[0]
-        rows.append((float(j), estimate_teq(mi).teq))
-    js = np.array([row[0] for row in rows])
-    teqs = np.array([row[1] for row in rows], dtype=np.float64)
-    loglog = np.polyfit(np.log(js), np.log(teqs), 1)
-    linlog = np.polyfit(np.log(js), teqs, 1)
-    meta = _base_meta(config.kind, {
-        "kappa": kappa, "j_list": [float(j) for j in j_list], "count": count,
-        "steps": steps, "center": list(config.center), "k": config.k,
-        "spread1": config.spread1, "seed": config.seed,
-        "loglog_slope": float(loglog[0]),
-        "loglog_r2": _r_squared(np.log(js), np.log(teqs), loglog),
-        "linlog_slope": float(linlog[0]),
-        "linlog_r2": _r_squared(np.log(js), teqs, linlog),
-    })
+        start = _mi_start(config.center, config.spread1, j, config.count, seed)
+        mi = _mi_series([start], [index], params, j, (0, config.steps), config.k)[0]
+        teq = estimate_teq(mi).teq
+        if teq == 0:
+            raise NotEquilibratedError(f"T_eq is 0 at j={j}: that series starts at its "
+                                       "equilibrium level, so the log-log fit is undefined")
+        rows.append((j, teq))
+    log_j = np.log(js)
+    teqs = np.array([teq for _, teq in rows], dtype=np.float64)
+    loglog = np.polyfit(log_j, np.log(teqs), 1)
+    linlog = np.polyfit(log_j, teqs, 1)
+    meta = _meta(config, "kappa", "count", "steps", "center", "k", "spread1", j_list=js,
+                 loglog_slope=float(loglog[0]), loglog_r2=_r_squared(log_j, np.log(teqs), loglog),
+                 linlog_slope=float(linlog[0]), linlog_r2=_r_squared(log_j, teqs, linlog))
     return Dataset(config.kind, ("j", "teq"), rows, meta)
 
 
@@ -700,19 +664,9 @@ def _r_squared(x, y, coeffs) -> float:
 
 
 def _run_map(config: ExperimentConfig) -> Dataset:
-    kappa = _require(config, "kappa")
-    if config.kind == "entropy-map":
-        j = config.j if config.j is not None else 20
-        window = config.window if config.window is not None else _default_entropy_window(kappa)
-        count = 1
-    else:
-        j = config.j if config.j is not None else 100
-        window = config.window if config.window is not None else (400, 500)
-        count = config.count if config.count is not None else 200
-    grid = config.grid if config.grid is not None else (32, 32)
     result = equilibrium_map(
-        config.kind, kappa=kappa, j=j, grid=grid, count=count, window=window,
-        spread1=config.spread1, k=config.k, seed=config.seed,
+        config.kind, kappa=config.kappa, j=config.j, grid=config.grid, count=config.count,
+        window=config.window, spread1=config.spread1, k=config.k, seed=config.seed,
     )
     if len(result.failures) == result.values.size:
         # Counter keeps first-seen order among equal counts: ties go to the
@@ -723,19 +677,14 @@ def _run_map(config: ExperimentConfig) -> Dataset:
         )
     thetas = result.theta_centers.tolist()
     phis = result.phi_centers.tolist()
-    values = result.values.ravel().tolist()
+    n_phi = config.grid[1]
     rows = [
-        (cell_index, thetas[cell_index // grid[1]], phis[cell_index % grid[1]], value)
-        for cell_index, value in enumerate(values)
+        (cell_index, thetas[cell_index // n_phi], phis[cell_index % n_phi], value)
+        for cell_index, value in enumerate(result.values.ravel().tolist())
     ]
-    meta = _base_meta(config.kind, {
-        "kappa": kappa, "j": j, "grid": list(grid), "count": count,
-        "window": list(result.window), "k": config.k,
-        "spread1": config.spread1,
-        "spread2": None if config.kind == "entropy-map" else 1.0 / j,
-        "seed": config.seed,
-        "failed_cells": [{"cell": c, "reason": reason} for c, reason in result.failures],
-    })
+    meta = _meta(config, "kappa", "j", "grid", "count", "window", "k", "spread1",
+                 spread2=None if config.kind == "entropy-map" else 1.0 / config.j,
+                 failed_cells=[{"cell": c, "reason": reason} for c, reason in result.failures])
     return Dataset(config.kind, ("cell", "theta", "phi", "value"), rows, meta)
 
 
@@ -745,25 +694,21 @@ def _run_vn_vs_linear(config: ExperimentConfig) -> Dataset:
     for r in np.linspace(0.0, 1.0, 101).tolist():
         bloch = np.array([0.0, 0.0, r])
         rows.append((r, linear_entropy(bloch), von_neumann_entropy_single_spin(bloch)))
-    meta = _base_meta(config.kind, {"seed": config.seed})
-    return Dataset(config.kind, ("bloch_norm", "s_linear", "s_vn"), rows, meta)
+    return Dataset(config.kind, ("bloch_norm", "s_linear", "s_vn"), rows, _meta(config))
 
 
 def _run_mi_selftest(config: ExperimentConfig) -> Dataset:
-    count = config.count if config.count is not None else 5000
     rng = np.random.default_rng(config.seed)
     rows = []
     for rho in (0.0, 0.3, 0.6, 0.9):
         cov = [[1.0, rho], [rho, 1.0]]
-        samples = rng.multivariate_normal([0.0, 0.0], cov, size=count)
+        samples = rng.multivariate_normal([0.0, 0.0], cov, size=config.count)
         expected = -0.5 * np.log(1.0 - rho * rho)
         for k in (config.k, 10):
             est = ksg_mi(samples, k=k)
             rows.append((f"gauss_rho_{rho}", rho, est.n, k, float(est.value), float(expected)))
-    meta = _base_meta(config.kind, {"count": count, "k": config.k, "seed": config.seed})
-    return Dataset(
-        config.kind, ("case", "rho", "n", "k", "estimate", "expected"), rows, meta
-    )
+    meta = _meta(config, "count", "k")
+    return Dataset(config.kind, ("case", "rho", "n", "k", "estimate", "expected"), rows, meta)
 
 
 EXPERIMENT_KINDS = {
@@ -779,7 +724,44 @@ EXPERIMENT_KINDS = {
     "mi-selftest": _run_mi_selftest,
 }
 
+_REQUIRED = object()  # a field the kind cannot run without
+
+# each kind's defaults for its unset (None) fields; a field a kind does
+# not list is used as the config holds it.  entropy-map's window depends
+# on kappa and its count is always 1 (see _resolved).
+_MAP_DEFAULTS = {"kappa": _REQUIRED, "j": 100, "grid": (32, 32), "count": 200,
+                 "window": (400, 500)}
+_DEFAULTS = {
+    "phase-portrait": {"kappa": _REQUIRED, "steps": 200, "grid": (20, 20)},
+    "lyapunov": {"kappa": _REQUIRED, "n_blocks": 1000, "steps_per_block": 10},
+    "entropy-dynamics": {"kappa": _REQUIRED, "j": 20, "steps": 100},
+    "mi-dynamics": {"kappa": _REQUIRED, "j": 100, "count": 1000, "steps": 100},
+    "teq-scaling": {"kappa": _REQUIRED, "j_list": _REQUIRED, "count": 500, "steps": 500},
+    "entropy-map": {"kappa": _REQUIRED, "j": 20, "grid": (32, 32)},
+    "thermo-map": _MAP_DEFAULTS,
+    "mi-map": _MAP_DEFAULTS,
+    "vn-vs-linear": {},
+    "mi-selftest": {"count": 5000},
+}
+
+
+def _resolved(config: ExperimentConfig) -> ExperimentConfig:
+    """`config` with its kind's defaults filled in; ValueError if a required field is unset."""
+    unset = {}
+    for name, default in _DEFAULTS[config.kind].items():
+        if getattr(config, name) is None:
+            if default is _REQUIRED:
+                raise ValueError(f"{config.kind} requires {name}")
+            unset[name] = default
+    config = replace(config, **unset)
+    if config.kind == "entropy-map":
+        # one coherent state per cell; weak kicking grows entropy
+        # logarithmically, so it gets a late window
+        late = (20, 40) if config.kappa >= 1.5 else (60, 100)
+        config = replace(config, count=1, window=config.window or late)
+    return config
+
 
 def run_experiment(config: ExperimentConfig) -> Dataset:
-    """Dispatch a config to its runner; see EXPERIMENT_KINDS for the names."""
-    return EXPERIMENT_KINDS[config.kind](config)
+    """Resolve a config's defaults and run it; see EXPERIMENT_KINDS for the names."""
+    return EXPERIMENT_KINDS[config.kind](_resolved(config))

@@ -171,6 +171,19 @@ class TestFailurePaths:
         assert lines[0].startswith("error:")
         assert "Traceback" not in captured.err
 
+    def test_teq_scaling_with_a_zero_teq_is_one_line_error(self, tmp_path, capsys):
+        # the j=25 series starts at its equilibrium level, so log(T_eq) is
+        # undefined; this used to warn and write NaN slopes into the meta
+        argv = "teq-scaling --kappa 0.2 --j-list 25 50 --count 64 --steps 30 --seed 2"
+        code = main(argv.split() + ["--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            "error: T_eq is 0 at j=25.0: that series starts at its equilibrium level, "
+            "so the log-log fit is undefined"
+        ]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("argv, message", [
         ("mi-map --kappa 2.5 --grid 4 2 --count 5 --window 2 4",
          "all 8 cells of the mi-map failed; 4 with: count must be >= 8, got 5"),

@@ -28,7 +28,21 @@ from kickedtop import (
     spherical_to_cartesian,
     thermo_limit_entropy,
 )
-from kickedtop.experiments import _WRITE_CHUNK_ROWS, EXPERIMENT_KINDS, _thermo_series
+from kickedtop.experiments import (
+    _DEFAULTS,
+    _REQUIRED,
+    _WRITE_CHUNK_ROWS,
+    EXPERIMENT_KINDS,
+    _thermo_series,
+)
+
+# every field a kind cannot run without
+REQUIRED_FIELDS = [
+    (kind, "kappa") for kind in (
+        "phase-portrait", "lyapunov", "entropy-dynamics", "mi-dynamics", "teq-scaling",
+        "entropy-map", "thermo-map", "mi-map",
+    )
+] + [("teq-scaling", "j_list")]
 
 
 class TestEstimateTeq:
@@ -349,11 +363,18 @@ class TestRunners:
         assert a.rows == b.rows
         assert a.meta == b.meta
 
-    def test_missing_required_field_raises(self):
-        with pytest.raises(ValueError, match="requires kappa"):
-            run_experiment(ExperimentConfig(kind="mi-dynamics"))
-        with pytest.raises(ValueError, match="requires j_list"):
-            run_experiment(ExperimentConfig(kind="teq-scaling", kappa=2.5))
+    def test_required_fields_match_the_defaults_table(self):
+        assert sorted(REQUIRED_FIELDS) == sorted(
+            (kind, name) for kind, defaults in _DEFAULTS.items()
+            for name, default in defaults.items() if default is _REQUIRED
+        )
+
+    @pytest.mark.parametrize("kind, name", REQUIRED_FIELDS)
+    def test_missing_required_field_raises(self, kind, name):
+        # kappa is set unless it is the field under test
+        settings = {} if name == "kappa" else {"kappa": 2.5}
+        with pytest.raises(ValueError, match=f"^{kind} requires {name}$"):
+            run_experiment(ExperimentConfig(kind=kind, **settings))
 
 
 # one small config per experiment kind
@@ -442,6 +463,15 @@ class TestDatasetOutput:
         rows = [("ok", i) for i in range(_WRITE_CHUNK_ROWS)] + [(f"a{special}b", 1)]
         with pytest.raises(ValueError, match="CSV quoting"):
             Dataset("probe", ("case", "n"), rows, {}).write(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_meta_is_refused_before_writing(self, tmp_path, value):
+        # JSON has no NaN or infinity; nothing is written, not even the CSV
+        ds = Dataset("probe", ("case", "n"), [("ok", 1)], {"slope": value})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            ds.write(tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_one_column_dataset_is_refused(self, tmp_path):
@@ -538,6 +568,43 @@ PINNED_DIGESTS = {
         dict(kind="mi-selftest", count=600, k=4, seed=1),
         "13c8afc000f31fe133c9ca68b4cedfcf78c859554d981432ac04f471dd84593e",
         "814b6ff65e2aff2890c384bdfa6b9540364ed8bf68f176f42aa4d67902027ce0",
+    ),
+    # the six below run on per-kind defaults (or int-typed values), and were
+    # recorded before the defaults moved into one table
+    "entropy-dynamics-defaults": (
+        # default j=20, steps=100
+        dict(kind="entropy-dynamics", kappa=2.5),
+        "450358a2ca7f2e5584b130123f75ec5ea38df5514f48bee3593c842bc0d5cde1",
+        "0215862b21ef7d06bee3a228cb8cbd939ffa849f1e0ad81ab5ceb144b6a2e676",
+    ),
+    "vn-vs-linear": (
+        dict(kind="vn-vs-linear"),
+        "4ab2debd887bba6dbc7617e7b12162aeaad6638683b99aa9580eab1dff40ce68",
+        "329db0c8fa2988494bb85a99206c7761313d55f8b681d37e69711412644642e6",
+    ),
+    "entropy-map-default-window": (
+        # kappa < 1.5 and no window: the late (60, 100) window
+        dict(kind="entropy-map", kappa=0.5, j=4, grid=(2, 2)),
+        "daddcc7ed3bc9d6866d243cc913deb889ab60fe0c5dfb9bba6d3c2a6025f59d9",
+        "4b9d5358f2d6dd5139d29865c4fa78ff28d448a52281915c682b8d4388192454",
+    ),
+    "portrait-default-grid": (
+        # the default 20x20 grid of starts
+        dict(kind="phase-portrait", kappa=2.5, steps=20),
+        "dd319eee565472dbd18ea0f45d53c01492eceb07c30f7c8e407aa3de6fce9a60",
+        "3cdaaa1275820c3aa72ba7d9e030945bf4b8059e6d5b9f35866c4753041e8ddc",
+    ),
+    "lyapunov-defaults": (
+        # default 1000 blocks of 10 steps: the bytes of `lyapunov-chaotic`
+        dict(kind="lyapunov", kappa=6.0),
+        "21c41655d393dee88957a3f10efbcf3f06ce1030aa9649d51f455b59795b8da6",
+        "28402d4c583a1d30370a440823b8ede17381954f44dde524aa97a6d9732d0f97",
+    ),
+    "mi-dynamics-int-values": (
+        # ints stay ints in the meta, as a JSON config gives them
+        dict(kind="mi-dynamics", kappa=6, j=50, count=40, steps=6, center=(2, 2)),
+        "62e30b014bcd2fe441044fea16dbd167d3969fc1d36c1f5879f28614cfc5978a",
+        "abc403fa434625036b42158e42d23c448ebc1e0f06c44bd492f3b6a7aa1d2c9a",
     ),
 }
 
