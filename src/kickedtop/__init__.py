@@ -27,14 +27,12 @@ from .lyapunov import (
 from .mutual_info import MIEstimate, digamma, ksg_mi
 from .quantum import (
     NormDriftError,
-    SpinOperators,
     SpinState,
     bloch_vector,
     coherent_state,
     evolve_expectations,
     floquet_unitary,
     linear_entropy,
-    spin_operators,
     thermo_limit_entropy,
     von_neumann_entropy_single_spin,
 )
@@ -81,14 +79,12 @@ __all__ = [
     "digamma",
     "ksg_mi",
     "NormDriftError",
-    "SpinOperators",
     "SpinState",
     "bloch_vector",
     "coherent_state",
     "evolve_expectations",
     "floquet_unitary",
     "linear_entropy",
-    "spin_operators",
     "thermo_limit_entropy",
     "von_neumann_entropy_single_spin",
     "CapDistribution",

@@ -27,6 +27,7 @@ __all__ = [
     "SphericalPoint",
     "spherical_to_cartesian",
     "cartesian_to_spherical",
+    "kick_rotation",
     "classical_step",
     "evolve_trajectory",
     "phase_portrait",

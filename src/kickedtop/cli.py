@@ -17,6 +17,8 @@ import sys
 from .classical import KickedTopError
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
+__all__ = ["main"]
+
 # failures reported as a one-line "error:" with exit status 1: bad input,
 # unreadable files, and the package's own numerical failures
 _REPORTED_ERRORS = (ValueError, OSError, KickedTopError)

@@ -103,23 +103,21 @@ class TeqResult:
     threshold: float
 
 
-def estimate_teq(series, tail_frac: float = 0.2, threshold: float = 0.9) -> TeqResult:
-    """First step at which `series` reaches `threshold` times its tail mean.
+def estimate_teq(series) -> TeqResult:
+    """First step at which `series` reaches 90% of its tail mean.
 
-    The tail is the last `tail_frac` of the samples (at least one).  The
-    series is expected to grow towards a positive equilibrium; a constant
-    positive series equilibrates at step 0.
+    The tail is the last 20% of the samples (at least one).  The series is
+    expected to grow towards a positive equilibrium; a constant positive
+    series equilibrates at step 0.
     """
     values = np.asarray(series, dtype=np.float64)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("series must be 1d with at least 2 samples")
-    if not 0.0 < tail_frac <= 1.0:
-        raise ValueError(f"tail_frac must be in (0, 1], got {tail_frac!r}")
-    tail = values[-max(1, int(round(tail_frac * values.size))):]
+    tail = values[-max(1, int(round(0.2 * values.size))):]
     tail_mean = float(tail.mean())
     if tail_mean <= 0.0:
         raise NotEquilibratedError(f"tail mean {tail_mean!r} is not positive")
-    level = threshold * tail_mean
+    level = 0.9 * tail_mean
     hits = np.nonzero(values >= level)[0]
     if hits.size == 0:
         raise NotEquilibratedError(f"series never reaches {level!r}")
@@ -272,106 +270,104 @@ def _thermo_series(starts, cells, params, window, failures=None):
     return values
 
 
+def _entropy_series(states, unitary, window):
+    """Linear entropy of each coherent state's spin at steps window[0]..window[1].
+
+    Each state is evolved on its own, one matrix-vector product per step:
+    evolving them as the columns of one matrix rounds differently.
+    Returns a (len(states), window length) array.
+    """
+    lo, hi = window
+    values = np.empty((len(states), hi - lo + 1))
+    for row, state in enumerate(states):
+        bloch = evolve_expectations(state, unitary, hi)
+        values[row] = np.maximum(0.5 * (1.0 - np.einsum("ij,ij->i", bloch, bloch)), 0.0)[lo:]
+    return values
+
+
 _MAP_KINDS = ("entropy-map", "thermo-map", "mi-map")
 
 
-def _map_values(kind, cells, *, kappa, j, grid, count, window, spread1, k, seed,
-                failures=None):
+def _map_values(config: ExperimentConfig, cells, failures=None):
     """Values of the listed grid cells of one map, computed in one pass.
 
-    The map-wide set-up (kind, window, kick strength, Floquet unitary) is
-    checked and built once.  Every cell then gets its own start: a coherent
-    state, or an ensemble drawn from the child stream keyed by its index.
-    Ensembles of all cells step together as one stacked array.  A cell
-    that raises ValueError keeps NaN and goes to `failures`.
+    `config` must be resolved (see _resolved), so its grid and window are
+    set and checked.  Every cell gets its own start: a coherent state, or an
+    ensemble drawn from the child stream keyed by its index; a cell that
+    raises ValueError there keeps NaN and goes to `failures`.  The started
+    cells then go through their kind's series function together, and each
+    value is the mean of its cell's window.  The Floquet unitary is built
+    only when some cell started, so a bad j fails every cell alike.
     """
+    kind, j = config.kind, config.j
     if kind not in _MAP_KINDS:
         raise ValueError(f"kind must be one of {_MAP_KINDS}, got {kind!r}")
-    lo, hi = int(window[0]), int(window[1])
-    if not 0 <= lo < hi:
-        raise ValueError(f"window must satisfy 0 <= lo < hi, got {window!r}")
-    params = KickParams(kappa)
-    n_theta, n_phi = grid
+    n_theta, n_phi = config.grid
     thetas, phis = grid_centers(n_theta, n_phi)
     for cell in cells:
         if not 0 <= cell < n_theta * n_phi:
             raise IndexError(f"cell_index {cell} out of range for {n_theta}x{n_phi}")
-    centers = [(float(thetas[cell // n_phi]), float(phis[cell % n_phi])) for cell in cells]
-    values = np.full(len(cells), np.nan)
-    if kind == "entropy-map":
-        unitary = None  # built at the first valid state, so a bad j fails per cell
-        for row, cell in enumerate(cells):
-            try:
-                state = coherent_state(j, *centers[row])
-                if unitary is None:
-                    unitary = floquet_unitary(j, kappa)
-                bloch = evolve_expectations(state, unitary, hi)
-            except ValueError as exc:
-                _record(failures, cell, exc)
-                continue
-            s_lin = np.maximum(0.5 * (1.0 - np.einsum("ij,ij->i", bloch, bloch)), 0.0)
-            values[row] = float(np.mean(s_lin[lo : hi + 1]))
-        return values
     rows, starts = [], []
     for row, cell in enumerate(cells):
-        cell_seed = np.random.SeedSequence(entropy=seed, spawn_key=(cell,))
+        center = (float(thetas[cell // n_phi]), float(phis[cell % n_phi]))
+        cell_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(cell,))
         try:
-            if kind == "thermo-map":
-                cap = CapDistribution(center=SphericalPoint(*centers[row]), solid_angle=1.0 / j)
-                start = spherical_to_cartesian(sample_cap(cap, count, cell_seed))
+            if kind == "entropy-map":
+                start = coherent_state(j, *center)
+            elif kind == "thermo-map":
+                cap = CapDistribution(center=SphericalPoint(*center), solid_angle=1.0 / j)
+                start = spherical_to_cartesian(sample_cap(cap, config.count, cell_seed))
             else:
-                start = _mi_start(centers[row], spread1, j, count, cell_seed)
+                start = _mi_start(center, config.spread1, j, config.count, cell_seed)
         except ValueError as exc:
             _record(failures, cell, exc)
             continue
         rows.append(row)
         starts.append(start)
+    values = np.full(len(cells), np.nan)
     if not starts:
         return values
     started = [cells[row] for row in rows]
-    if kind == "thermo-map":
-        windows = _thermo_series(starts, started, params, (lo, hi), failures)
+    params = KickParams(config.kappa)
+    if kind == "entropy-map":
+        windows = _entropy_series(starts, floquet_unitary(j, config.kappa), config.window)
+    elif kind == "thermo-map":
+        windows = _thermo_series(starts, started, params, config.window, failures)
     else:
-        windows = _mi_series(starts, started, params, j, (lo, hi), k, failures)
+        windows = _mi_series(starts, started, params, j, config.window, config.k, failures)
     for row, series in zip(rows, windows):
         values[row] = float(np.mean(series))
     return values
 
 
-def map_cell_value(kind: str, cell_index: int, *, kappa, j, grid, count, window,
-                   spread1=SPREAD_SINGLE_SPIN, k=3, seed=0) -> float:
-    """Evaluate one grid cell of an equilibrium map.
+def map_cell_value(config: ExperimentConfig, cell_index: int) -> float:
+    """Evaluate one grid cell of the map `config` describes.
 
-    Cells are independent: each draws from its own child stream keyed by
+    Unset fields take the kind's defaults, as in run_experiment.  Cells
+    are independent: each draws from its own child stream keyed by
     cell_index, so evaluating any subset in any order (or in parallel)
     reproduces the full map's values.  This runs the full map's kernel on
     a one-cell list; a cell failure raises its ValueError.
     """
-    values = _map_values(
-        kind, [cell_index], kappa=kappa, j=j, grid=grid, count=count, window=window,
-        spread1=spread1, k=k, seed=seed,
-    )
-    return float(values[0])
+    return float(_map_values(_resolved(config), [cell_index])[0])
 
 
-def equilibrium_map(kind: str, *, kappa, j, grid, count, window,
-                    spread1=SPREAD_SINGLE_SPIN, k=3, seed=0) -> EquilibriumMap:
+def equilibrium_map(config: ExperimentConfig) -> EquilibriumMap:
     """Late-time observable over the full grid; cell failures do not abort.
 
-    A cell whose patch overlaps a pole (or any other per-cell ValueError)
-    is recorded in `failures`, in cell order, and left as NaN.  Map-wide
-    parameters (kind, window, kappa) are checked once and raise.
+    Unset fields take the kind's defaults, as in run_experiment.  A cell
+    whose patch overlaps a pole (or any other per-cell ValueError) is
+    recorded in `failures`, in cell order, and left as NaN.  A kind that
+    is not a map kind raises.
     """
-    n_theta, n_phi = grid
+    config = _resolved(config)
+    n_theta, n_phi = config.grid
     thetas, phis = grid_centers(n_theta, n_phi)
     failures = []
-    values = _map_values(
-        kind, range(n_theta * n_phi), kappa=kappa, j=j, grid=grid, count=count,
-        window=window, spread1=spread1, k=k, seed=seed, failures=failures,
-    )
+    values = _map_values(config, range(n_theta * n_phi), failures)
     return EquilibriumMap(
-        kind=kind, theta_centers=thetas, phi_centers=phis,
-        values=values.reshape(n_theta, n_phi), window=(int(window[0]), int(window[1])),
+        kind=config.kind, theta_centers=thetas, phi_centers=phis,
+        values=values.reshape(n_theta, n_phi), window=config.window,
         failures=sorted(failures),
     )
 
@@ -664,10 +660,7 @@ def _r_squared(x, y, coeffs) -> float:
 
 
 def _run_map(config: ExperimentConfig) -> Dataset:
-    result = equilibrium_map(
-        config.kind, kappa=config.kappa, j=config.j, grid=config.grid, count=config.count,
-        window=config.window, spread1=config.spread1, k=config.k, seed=config.seed,
-    )
+    result = equilibrium_map(config)
     if len(result.failures) == result.values.size:
         # Counter keeps first-seen order among equal counts: ties go to the
         # reason of the lowest cell

@@ -1,4 +1,4 @@
-"""Quantum spin-j top: operators, coherent states, Floquet map, entropies.
+"""Quantum spin-j top: coherent states, Floquet map, Bloch vectors, entropies.
 
 The basis is |j, m> with m = j, j-1, ..., -j, so index 0 is the top of the
 ladder.  One drive period is the unitary
@@ -21,9 +21,7 @@ from .classical import KickedTopError
 
 __all__ = [
     "NormDriftError",
-    "SpinOperators",
     "SpinState",
-    "spin_operators",
     "coherent_state",
     "floquet_unitary",
     "bloch_vector",
@@ -48,16 +46,6 @@ def _two_j(j) -> int:
     if abs(2 * float(j) - two_j) > 1e-9 or two_j < 1:
         raise ValueError(f"j must be a positive half-integer, got {j!r}")
     return two_j
-
-
-@dataclass(frozen=True)
-class SpinOperators:
-    """Angular momentum matrices in the m = j..-j basis."""
-
-    j: float
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,21 +86,6 @@ def _ladder(two_j: int):
     return m, coeff
 
 
-def spin_operators(j) -> SpinOperators:
-    """Dense Jx, Jy, Jz for spin j, built on each call (read-only arrays)."""
-    two_j = _two_j(j)
-    dim = two_j + 1
-    m, coeff = _ladder(two_j)
-    jz = np.diag(m).astype(np.complex128)
-    jp = np.zeros((dim, dim), dtype=np.complex128)
-    jp[np.arange(dim - 1), np.arange(1, dim)] = coeff
-    jx = (jp + jp.conj().T) / 2.0
-    jy = (jp - jp.conj().T) / 2.0j
-    for arr in (jx, jy, jz):
-        arr.setflags(write=False)
-    return SpinOperators(j=two_j / 2.0, jx=jx, jy=jy, jz=jz)
-
-
 def coherent_state(j, theta0: float, phi0: float) -> SpinState:
     """Spin-coherent state centred at (theta0, phi0).
 
@@ -143,9 +116,17 @@ def coherent_state(j, theta0: float, phi0: float) -> SpinState:
 def _quarter_turn_y(two_j: int) -> np.ndarray:
     """exp(-i (pi/2) Jy) from the eigendecomposition of Jy.
 
-    Jx and Jz are freed before `eigh`, Jy once it returns.
+    Jy = (J+ - J-) / 2i is built from the ladder coefficients alone: -i c/2
+    just above the diagonal, +i c/2 just below it.  It is freed once `eigh`
+    returns.
     """
-    vals, vecs = np.linalg.eigh(spin_operators(two_j / 2.0).jy)
+    coeff = _ladder(two_j)[1]
+    jy = np.zeros((two_j + 1, two_j + 1), dtype=np.complex128)
+    above = np.arange(two_j)
+    jy[above, above + 1] = -0.5j * coeff
+    jy[above + 1, above] = 0.5j * coeff
+    vals, vecs = np.linalg.eigh(jy)
+    del jy
     rot = (vecs * np.exp(-0.5j * np.pi * vals)) @ vecs.conj().T
     rot.setflags(write=False)
     return rot

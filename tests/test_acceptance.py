@@ -227,15 +227,15 @@ def test_criterion_07_map_ordering_chaotic_vs_regular():
     assert 10 < chaotic.sum() < 134, "degenerate chaotic/regular split"
 
     maps = {
-        "entropy-map": equilibrium_map(
+        "entropy-map": equilibrium_map(ExperimentConfig(
             "entropy-map", kappa=2.5, j=20, grid=grid, count=1, window=(20, 40), seed=0
-        ),
-        "thermo-map": equilibrium_map(
+        )),
+        "thermo-map": equilibrium_map(ExperimentConfig(
             "thermo-map", kappa=2.5, j=100, grid=grid, count=200, window=(400, 500), seed=0
-        ),
-        "mi-map": equilibrium_map(
+        )),
+        "mi-map": equilibrium_map(ExperimentConfig(
             "mi-map", kappa=2.5, j=100, grid=grid, count=200, window=(400, 500), seed=0
-        ),
+        )),
     }
     for kind, result in maps.items():
         chaotic_mean = np.nanmean(result.values[chaotic])

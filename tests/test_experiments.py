@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from kickedtop import (
     spherical_to_cartesian,
     thermo_limit_entropy,
 )
+from kickedtop import bipartite, experiments
 from kickedtop.experiments import (
     _DEFAULTS,
     _REQUIRED,
@@ -116,9 +118,9 @@ class TestGridAndMaps:
             grid_centers(0, 4)
 
     def test_two_by_two_smoke_map(self):
-        result = equilibrium_map(
+        result = equilibrium_map(ExperimentConfig(
             "entropy-map", kappa=2.5, j=4, grid=(2, 2), count=1, window=(5, 15), seed=0
-        )
+        ))
         assert result.values.shape == (2, 2)
         assert np.all(np.isfinite(result.values))
         assert np.all((result.values >= 0.0) & (result.values <= 0.5))
@@ -131,15 +133,16 @@ class TestGridAndMaps:
         # isolation reproduces its value inside the full grid run, bit for
         # bit; a failed cell raises the reason the full map records.  The
         # mi-map grid has polar cells.
-        kwargs = dict(kappa=2.5, j=100, grid=(4, 2), count=20, window=(5, 15), seed=3)
-        full = equilibrium_map(kind, **kwargs)
+        config = ExperimentConfig(kind, kappa=2.5, j=100, grid=(4, 2), count=20,
+                                  window=(5, 15), seed=3)
+        full = equilibrium_map(config)
         reasons = dict(full.failures)
         for cell in range(8):
             if cell in reasons:
                 with pytest.raises(ValueError, match=re.escape(reasons[cell])):
-                    map_cell_value(kind, cell, **kwargs)
+                    map_cell_value(config, cell)
                 continue
-            solo = map_cell_value(kind, cell, **kwargs)
+            solo = map_cell_value(config, cell)
             assert solo == full.values[cell // 2, cell % 2]
         assert len(reasons) == (4 if kind == "mi-map" else 0)
 
@@ -151,9 +154,9 @@ class TestGridAndMaps:
         # a failure at sampling time (count) and one at estimation time (k)
         # interleave with the polar rows in cell order, with the messages
         # the per-cell code gave
-        result = equilibrium_map(
+        result = equilibrium_map(ExperimentConfig(
             "mi-map", kappa=2.5, j=100, grid=(4, 2), count=count, k=k, window=(2, 4)
-        )
+        ))
         north = "patch of width 0.8083 around theta=0.3927 overlaps a pole"
         south = "patch of width 0.8083 around theta=2.7489 overlaps a pole"
         assert result.failures == (
@@ -195,8 +198,8 @@ class TestGridAndMaps:
         def peak(window):
             tracemalloc.start()
             try:
-                equilibrium_map("mi-map", kappa=2.5, j=100, grid=(3, 1), count=100,
-                                window=window, seed=1)
+                equilibrium_map(ExperimentConfig("mi-map", kappa=2.5, j=100, grid=(3, 1),
+                                                 count=100, window=window, seed=1))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -207,9 +210,9 @@ class TestGridAndMaps:
     def test_pole_overlapping_cells_fail_soft(self):
         # near-pole rows cannot host the wide subsystem-1 patch; the map
         # records them and completes the rest
-        result = equilibrium_map(
+        result = equilibrium_map(ExperimentConfig(
             "mi-map", kappa=2.5, j=100, grid=(8, 8), count=10, window=(5, 15), seed=0
-        )
+        ))
         failed = {cell for cell, _ in result.failures}
         assert failed == set(range(8)) | set(range(56, 64))
         flat = result.values.ravel()
@@ -236,10 +239,46 @@ class TestGridAndMaps:
         assert abs(base - shifted) < max(3 * se, 1e-3)
 
     def test_map_cell_rejects_bad_kind_and_index(self):
-        with pytest.raises(ValueError):
-            map_cell_value("nonsense", 0, kappa=1.0, j=4, grid=(2, 2), count=1, window=(5, 15))
+        # an unknown kind fails in the config; a kind that is known but not
+        # a map kind fails in the map pass
+        with pytest.raises(ValueError, match="unknown kind 'nonsense'"):
+            ExperimentConfig("nonsense", kappa=1.0, j=4, grid=(2, 2), window=(5, 15))
+        with pytest.raises(ValueError, match="kind must be one of"):
+            map_cell_value(ExperimentConfig("lyapunov", kappa=1.0, j=4, grid=(2, 2)), 0)
+        with pytest.raises(ValueError, match="kind must be one of"):
+            equilibrium_map(ExperimentConfig("lyapunov", kappa=1.0, j=4, grid=(2, 2)))
         with pytest.raises(IndexError):
-            map_cell_value("entropy-map", 9, kappa=1.0, j=4, grid=(2, 2), count=1, window=(5, 15))
+            map_cell_value(ExperimentConfig("entropy-map", kappa=1.0, j=4, grid=(2, 2),
+                                            window=(5, 15)), 9)
+
+    @pytest.mark.parametrize("kind, j, grid, calls", [
+        ("entropy-map", 4, (2, 2), {"coherent_state": 4, "floquet_unitary": 1,
+                                    "evolve_expectations": 4}),
+        # j=1 gives a patch of width 1: the rows at theta=0.39 and 2.75 are polar
+        ("thermo-map", 1, (4, 2), {"experiments.sample_cap": 4}),
+        # rows 0 and 3 are polar; a started cell draws two caps; one ksg_mi
+        # call per window step serves every cell
+        ("mi-map", 100, (4, 2), {"bipartite.sample_cap": 8, "ksg_mi": 3}),
+    ])
+    def test_map_pass_looks_kernels_up_at_call_time(self, monkeypatch, kind, j, grid, calls):
+        # perfbench's tracer wraps these names in place; a kernel bound into
+        # a table at import time would bypass the wrapper and hide its spans
+        counts = Counter()
+
+        def counted(label, fn):
+            def wrapper(*args, **kwargs):
+                counts[label] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("coherent_state", "floquet_unitary", "evolve_expectations", "ksg_mi"):
+            monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+        for module in (experiments, bipartite):
+            label = f"{module.__name__.rsplit('.', 1)[1]}.sample_cap"
+            monkeypatch.setattr(module, "sample_cap", counted(label, module.sample_cap))
+        equilibrium_map(ExperimentConfig(kind, kappa=2.5, j=j, grid=grid, count=20,
+                                         window=(2, 4), seed=1))
+        assert counts == calls
 
 
 class TestExperimentConfig:

@@ -19,13 +19,25 @@ from kickedtop import (
     floquet_unitary,
     linear_entropy,
     spherical_to_cartesian,
-    spin_operators,
     thermo_limit_entropy,
     von_neumann_entropy_single_spin,
 )
 from kickedtop import quantum
 from kickedtop.bipartite import CapDistribution, sample_cap
-from kickedtop.quantum import _ladder, _quarter_turn_y
+from kickedtop.quantum import _ladder, _quarter_turn_y, _two_j
+
+
+def spin_operators(j):
+    """Dense Jx, Jy, Jz of spin j from the package's ladder coefficients.
+
+    The oracle operators for the matrix-exponential checks; the package
+    itself builds no dense operator but Jy, inside the Floquet build.
+    """
+    two_j = _two_j(j)
+    m, coeff = _ladder(two_j)
+    jz = np.diag(m).astype(np.complex128)
+    jp = np.diag(coeff, 1).astype(np.complex128)
+    return (jp + jp.conj().T) / 2.0, (jp - jp.conj().T) / 2.0j, jz
 
 
 def direction(theta, phi):
@@ -34,30 +46,29 @@ def direction(theta, phi):
 
 class TestSpinOperators:
     def test_half_spin_is_half_pauli(self):
-        ops = spin_operators(0.5)
-        np.testing.assert_allclose(ops.jx, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
-        np.testing.assert_allclose(ops.jy, [[0.0, -0.5j], [0.5j, 0.0]], atol=1e-15)
-        np.testing.assert_allclose(ops.jz, [[0.5, 0.0], [0.0, -0.5]], atol=1e-15)
+        jx, jy, jz = spin_operators(0.5)
+        np.testing.assert_allclose(jx, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(jy, [[0.0, -0.5j], [0.5j, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(jz, [[0.5, 0.0], [0.0, -0.5]], atol=1e-15)
 
     def test_spin_one_jz(self):
-        np.testing.assert_allclose(spin_operators(1).jz, np.diag([1.0, 0.0, -1.0]), atol=1e-15)
+        np.testing.assert_allclose(spin_operators(1)[2], np.diag([1.0, 0.0, -1.0]), atol=1e-15)
 
     def test_commutator_at_large_j(self):
         # the product entries are O(j^2), so allow roundoff on that scale
-        ops = spin_operators(100)
-        residual = ops.jx @ ops.jy - ops.jy @ ops.jx - 1j * ops.jz
+        jx, jy, jz = spin_operators(100)
+        residual = jx @ jy - jy @ jx - 1j * jz
         assert np.max(np.abs(residual)) < 5 * 100**2 * np.finfo(float).eps
 
     def test_hermitian(self):
-        ops = spin_operators(7.5)
-        for mat in (ops.jx, ops.jy, ops.jz):
+        for mat in spin_operators(7.5):
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-14
 
     def test_rejects_invalid_j(self):
         with pytest.raises(ValueError):
-            spin_operators(0.3)
+            floquet_unitary(0.3, 1.0)
         with pytest.raises(ValueError):
-            spin_operators(0)
+            coherent_state(0, 1.0, 0.0)
 
 
 class TestCoherentState:
@@ -81,11 +92,11 @@ class TestCoherentState:
     def test_matches_rotation_operator_construction(self, j):
         # the closed-form amplitudes must equal the rotated top-weight state
         # exp{i theta (Jx sin phi - Jy cos phi)} |j, j>, global phase included
-        ops = spin_operators(j)
+        jx, jy, _ = spin_operators(j)
         for theta, phi in [(0.7, 0.3), (2.2, 4.0), (np.pi / 2, np.pi)]:
-            top = np.zeros(ops.jx.shape[0], dtype=complex)
+            top = np.zeros(jx.shape[0], dtype=complex)
             top[0] = 1.0
-            rotated = expm(1j * theta * (ops.jx * np.sin(phi) - ops.jy * np.cos(phi))) @ top
+            rotated = expm(1j * theta * (jx * np.sin(phi) - jy * np.cos(phi))) @ top
             got = coherent_state(j, theta, phi).amplitudes
             np.testing.assert_allclose(got, rotated, atol=1e-12)
 
@@ -109,18 +120,16 @@ class TestFloquetUnitary:
             assert dev < 1e-10
 
     def test_half_spin_kick_is_global_phase(self):
-        ops = spin_operators(0.5)
+        jy = spin_operators(0.5)[1]
         for kappa in (0.0, 1.7, 6.0):
-            expected = np.exp(-1j * kappa / 4) * expm(-1j * (np.pi / 2) * ops.jy)
+            expected = np.exp(-1j * kappa / 4) * expm(-1j * (np.pi / 2) * jy)
             np.testing.assert_allclose(floquet_unitary(0.5, kappa), expected, atol=1e-12)
 
     def test_matches_matrix_exponential_oracle(self):
         j = 3.5
-        ops = spin_operators(j)
+        _, jy, jz = spin_operators(j)
         kappa = 2.5
-        oracle = expm(-1j * kappa / (2 * j) * (ops.jz @ ops.jz)) @ expm(
-            -1j * (np.pi / 2) * ops.jy
-        )
+        oracle = expm(-1j * kappa / (2 * j) * (jz @ jz)) @ expm(-1j * (np.pi / 2) * jy)
         np.testing.assert_allclose(floquet_unitary(j, kappa), oracle, atol=1e-12)
 
     def test_kappa_zero_integer_j_period_four(self):
@@ -144,7 +153,6 @@ class TestFloquetUnitary:
         # keep every entry alive
         for j in range(1, 11):
             floquet_unitary(j, 1.0)
-            spin_operators(j)
             coherent_state(j, 1.0, 0.5)
         for cache in (_quarter_turn_y, _ladder):
             info = cache.cache_info()
@@ -154,20 +162,23 @@ class TestFloquetUnitary:
     def test_large_j_build_keeps_no_dense_spin_operators(self):
         # a cold build keeps the cached quarter turn and the returned unitary,
         # two dense 801x801 complex matrices (20.5 MB); cached Jx, Jy, Jz
-        # would add three more
+        # would add three more.  While it runs, Jy, the eigenvectors and the
+        # product's operands are alive; a dense Jx and Jz beside Jy would
+        # push the peak past 4.5 matrices (46.2 MB)
         caches = [f for f in vars(quantum).values() if hasattr(f, "cache_clear")]
         for cache in caches:
             cache.cache_clear()
         tracemalloc.start()
         try:
             u = floquet_unitary(400, 2.5)
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             for cache in caches:
                 cache.cache_clear()
         assert u.shape == (801, 801)
         assert held < 3 * 801 * 801 * 16, held
+        assert peak < 4.5 * 801 * 801 * 16, peak
 
 
 class TestEvolveExpectations:

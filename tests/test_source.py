@@ -1,0 +1,83 @@
+"""Source hygiene: exports resolve, public names are exported, private names are used.
+
+These checks read the package source with `ast`, so a deletion cannot
+leave a stale export or a dead private helper behind.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import kickedtop
+
+SOURCE_DIR = Path(kickedtop.__file__).resolve().parent
+MODULE_PATHS = sorted(SOURCE_DIR.glob("*.py"))
+TREES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULE_PATHS}
+
+
+def _module(stem: str):
+    return kickedtop if stem == "__init__" else importlib.import_module(f"kickedtop.{stem}")
+
+
+def _defined_names(tree: ast.Module) -> list:
+    """Names bound by module-level def, class and assignment statements."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _used_names() -> set:
+    """Every name read, attribute taken or name imported anywhere in the package."""
+    used = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_package_has_its_modules():
+    assert {"__init__", "cli", "experiments", "quantum"} <= set(TREES)
+
+
+@pytest.mark.parametrize("stem", sorted(TREES))
+def test_every_export_resolves(stem):
+    module = _module(stem)
+    assert module.__all__, stem
+    assert len(set(module.__all__)) == len(module.__all__), stem
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == [], (stem, missing)
+
+
+@pytest.mark.parametrize("stem", sorted(TREES))
+def test_every_public_definition_is_exported(stem):
+    tree = TREES[stem]
+    public = [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    unexported = [name for name in public if name not in _module(stem).__all__]
+    assert unexported == [], (stem, unexported)
+
+
+def test_every_private_module_name_is_used():
+    used = _used_names()
+    dead = [
+        f"{stem}.{name}"
+        for stem, tree in TREES.items()
+        for name in _defined_names(tree)
+        if name.startswith("_") and not name.endswith("__") and name not in used
+    ]
+    assert dead == []
