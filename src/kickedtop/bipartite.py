@@ -60,6 +60,7 @@ class CapDistribution:
         if not 0.0 < self.solid_angle <= 4.0 * np.pi:
             raise ValueError(f"solid_angle must be in (0, 4*pi], got {self.solid_angle!r}")
         object.__setattr__(self, "center", SphericalPoint(float(theta0), float(phi0)))
+        object.__setattr__(self, "solid_angle", float(self.solid_angle))
         half = 0.5 * self.half_width
         if theta0 - half < 0.0 or theta0 + half > np.pi:
             raise ValueError(
@@ -69,7 +70,9 @@ class CapDistribution:
     @property
     def half_width(self) -> float:
         """Angular side length of the square patch."""
-        return float(np.sqrt(self.solid_angle / np.sin(self.center.theta)))
+        # Python float division: a subnormal sin(theta) gives an infinite
+        # width, which overlaps the pole, instead of an overflow warning
+        return float(np.sqrt(self.solid_angle / float(np.sin(self.center.theta))))
 
     def bounds(self):
         """((theta_lo, theta_hi), (phi_lo, phi_hi)) of the rectangle."""
@@ -102,6 +105,11 @@ def sample_cap(dist: CapDistribution, count: int, seed) -> np.ndarray:
     return np.column_stack([np.arccos(cos_theta), phi])
 
 
+def _cap_vectors(dist: CapDistribution, count: int, seed) -> np.ndarray:
+    """`sample_cap`'s points as (count, 3) unit vectors."""
+    return spherical_to_cartesian(sample_cap(dist, count, seed))
+
+
 def sample_pairs(dist1: CapDistribution, dist2: CapDistribution, j, count: int, seed):
     """Initial unit vectors (n1, n2), each (count, 3), of a paired ensemble.
 
@@ -113,9 +121,7 @@ def sample_pairs(dist1: CapDistribution, dist2: CapDistribution, j, count: int, 
         raise ValueError(f"count must be >= {_MIN_ENSEMBLE}, got {count}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     child1, child2 = root.spawn(2)
-    n1 = spherical_to_cartesian(sample_cap(dist1, count, child1))
-    n2 = spherical_to_cartesian(sample_cap(dist2, count, child2))
-    return n1, n2
+    return _cap_vectors(dist1, count, child1), _cap_vectors(dist2, count, child2)
 
 
 def pair_x_steps(n1: np.ndarray, n2: np.ndarray, params: KickParams, j, steps: int):

@@ -26,9 +26,9 @@ import numpy as np
 
 from .bipartite import (  # evolve_ensemble: perfbench's tracer patches it here
     CapDistribution,
+    _cap_vectors,
     evolve_ensemble,
     pair_x_steps,
-    sample_cap,
     sample_pairs,
 )
 from .classical import (
@@ -37,7 +37,6 @@ from .classical import (
     SphericalPoint,
     classical_step,
     phase_portrait,
-    spherical_to_cartesian,
 )
 from .lyapunov import benettin_lyapunov
 from .mutual_info import ksg_mi
@@ -316,7 +315,7 @@ def _map_values(config: ExperimentConfig, cells, failures=None):
                 start = coherent_state(j, *center)
             elif kind == "thermo-map":
                 cap = CapDistribution(center=SphericalPoint(*center), solid_angle=1.0 / j)
-                start = spherical_to_cartesian(sample_cap(cap, config.count, cell_seed))
+                start = _cap_vectors(cap, config.count, cell_seed)
             else:
                 start = _mi_start(center, config.spread1, j, config.count, cell_seed)
         except ValueError as exc:

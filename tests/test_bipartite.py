@@ -5,6 +5,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kickedtop import (
     CapDistribution,
@@ -12,10 +14,11 @@ from kickedtop import (
     SphericalPoint,
     evolve_ensemble,
     evolve_trajectory,
+    pair_x_steps,
     sample_cap,
+    sample_pairs,
     spherical_to_cartesian,
 )
-from kickedtop.bipartite import pair_x_steps, sample_pairs
 
 
 def unit(theta, phi):
@@ -110,6 +113,29 @@ class TestCapDistribution:
     def test_rejects_pole_overlap(self):
         with pytest.raises(ValueError):
             CapDistribution(center=SphericalPoint(0.05, 0.0), solid_angle=0.25)
+
+    @settings(deadline=None)
+    @given(
+        theta=st.one_of(st.floats(0.0, 1e-6), st.floats(np.pi - 1e-6, np.pi)),
+        phi=st.floats(0.0, 2 * np.pi),
+        solid_angle=st.floats(1e-12, 4 * np.pi),
+    )
+    @example(theta=5e-324, phi=0.0, solid_angle=0.01)
+    def test_rejects_every_patch_near_a_pole(self, theta, phi, solid_angle):
+        # within 1e-6 of a pole a patch fits only if solid_angle < 4e-18 sr;
+        # a subnormal sin(theta) gives an infinite width, refused as well
+        with pytest.raises(ValueError, match="avoid the poles|overlaps a pole"):
+            CapDistribution(center=SphericalPoint(theta, phi), solid_angle=solid_angle)
+
+    @settings(deadline=None)
+    @given(theta=st.floats(0.0, np.pi), solid_angle=st.floats(1e-12, 4 * np.pi))
+    def test_accepted_patches_stay_between_the_poles(self, theta, solid_angle):
+        try:
+            dist = CapDistribution(center=SphericalPoint(theta, 1.0), solid_angle=solid_angle)
+        except ValueError:
+            return
+        (t_lo, t_hi), _ = dist.bounds()
+        assert 0.0 <= t_lo < theta < t_hi <= np.pi
 
     def test_rejects_nonpositive_solid_angle(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import pkgutil
 from pathlib import Path
 
@@ -54,6 +55,19 @@ class TestSuccessPaths:
         assert code == 0
         meta = json.loads((tmp_path / "entropy-map.meta.json").read_text())
         assert meta["window"] == [5, 15]
+
+    @pytest.mark.parametrize("theta, rz", [("0", 1.0), (repr(math.pi), -1.0)],
+                             ids=["north", "south"])
+    def test_entropy_dynamics_from_a_pole_writes_finite_rows(self, tmp_path, capsys,
+                                                              theta, rz):
+        code = main(["entropy-dynamics", "--kappa", "2.5", "--center", theta, "0",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        header, *rows = (tmp_path / "entropy-dynamics.csv").read_text().splitlines()
+        values = [[float(cell) for cell in row.split(",")] for row in rows]
+        assert len(values) == 101
+        assert all(math.isfinite(v) for row in values for v in row)
+        assert values[0][header.split(",").index("rz")] == rz
 
 
 class TestConfigFile:
@@ -217,6 +231,18 @@ class TestFailurePaths:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.splitlines() == ["error: seed must be >= 0, got -3"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ("lyapunov --kappa 2.5", "tangent frame undefined within 1e-08 of a pole (theta=0.0)"),
+        ("mi-dynamics --kappa 6 --count 30 --steps 4",
+         "patch centre must avoid the poles, got theta=0.0"),
+    ], ids=["lyapunov", "mi-dynamics"])
+    def test_pole_center_is_one_line_error(self, tmp_path, capsys, argv, message):
+        code = main(argv.split() + ["--center", "0", "0", "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("j_list", [["25"], ["25", "25"]], ids=["one-j", "repeated-j"])

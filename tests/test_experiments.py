@@ -255,7 +255,7 @@ class TestGridAndMaps:
         ("entropy-map", 4, (2, 2), {"coherent_state": 4, "floquet_unitary": 1,
                                     "evolve_expectations": 4}),
         # j=1 gives a patch of width 1: the rows at theta=0.39 and 2.75 are polar
-        ("thermo-map", 1, (4, 2), {"experiments.sample_cap": 4}),
+        ("thermo-map", 1, (4, 2), {"bipartite.sample_cap": 4}),
         # rows 0 and 3 are polar; a started cell draws two caps; one ksg_mi
         # call per window step serves every cell
         ("mi-map", 100, (4, 2), {"bipartite.sample_cap": 8, "ksg_mi": 3}),
@@ -273,9 +273,8 @@ class TestGridAndMaps:
 
         for name in ("coherent_state", "floquet_unitary", "evolve_expectations", "ksg_mi"):
             monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
-        for module in (experiments, bipartite):
-            label = f"{module.__name__.rsplit('.', 1)[1]}.sample_cap"
-            monkeypatch.setattr(module, "sample_cap", counted(label, module.sample_cap))
+        monkeypatch.setattr(bipartite, "sample_cap",
+                            counted("bipartite.sample_cap", bipartite.sample_cap))
         equilibrium_map(ExperimentConfig(kind, kappa=2.5, j=j, grid=grid, count=20,
                                          window=(2, 4), seed=1))
         assert counts == calls

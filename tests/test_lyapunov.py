@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kickedtop import (
     KickParams,
@@ -136,6 +138,22 @@ class TestInitialTangentFrame:
     def test_rejects_poles(self, theta):
         with pytest.raises(ValueError):
             initial_tangent_frame(SphericalPoint(theta, 0.3))
+
+    @settings(deadline=None)
+    @given(distance=st.floats(0.0, 0.9e-8), south=st.booleans(), phi=st.floats(0.0, 2 * np.pi))
+    def test_refuses_within_tolerance_of_a_pole(self, distance, south, phi):
+        theta = np.pi - distance if south else distance
+        with pytest.raises(ValueError, match="tangent frame undefined within 1e-08"):
+            initial_tangent_frame(SphericalPoint(theta, phi))
+
+    @settings(deadline=None)
+    @given(distance=st.floats(1.1e-8, 1e-6), south=st.booleans(), phi=st.floats(0.0, 2 * np.pi))
+    def test_finite_orthonormal_frame_just_outside_tolerance(self, distance, south, phi):
+        point = SphericalPoint(np.pi - distance if south else distance, phi)
+        frame = initial_tangent_frame(point)
+        basis = np.array([frame.w1, frame.w2, spherical_to_cartesian(point)])
+        assert np.all(np.isfinite(basis))
+        np.testing.assert_allclose(basis @ basis.T, np.eye(3), rtol=0, atol=1e-12)
 
 
 class TestBenettin:

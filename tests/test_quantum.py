@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kickedtop import (
@@ -42,6 +44,10 @@ def spin_operators(j):
 
 def direction(theta, phi):
     return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+# polar angles within 1e-6 of either pole, the poles included
+NEAR_POLE = st.one_of(st.floats(0.0, 1e-6), st.floats(np.pi - 1e-6, np.pi))
 
 
 class TestSpinOperators:
@@ -109,6 +115,19 @@ class TestCoherentState:
             coherent_state(5, -0.2, 0.0)
         with pytest.raises(ValueError):
             coherent_state(5, np.pi + 0.2, 0.0)
+        with pytest.raises(ValueError, match="theta0 must lie in"):
+            coherent_state(5, np.nextafter(np.pi, 4.0), 0.0)
+
+    @settings(deadline=None)
+    @given(j=st.sampled_from([0.5, 20, 400]), theta=NEAR_POLE, phi=st.floats(0.0, 2 * np.pi))
+    def test_near_pole_state_is_finite_with_unit_bloch_vector(self, j, theta, phi):
+        # the log-space amplitudes take cos(theta/2) or sin(theta/2) down to
+        # zero or a subnormal without an infinity or NaN
+        state = coherent_state(j, theta, phi)
+        assert np.all(np.isfinite(state.amplitudes))
+        bloch = bloch_vector(state)
+        assert abs(np.linalg.norm(bloch) - 1.0) < 1e-12
+        np.testing.assert_allclose(bloch, direction(theta, phi), rtol=0, atol=1e-12)
 
 
 class TestFloquetUnitary:
@@ -179,6 +198,30 @@ class TestFloquetUnitary:
         assert u.shape == (801, 801)
         assert held < 3 * 801 * 801 * 16, held
         assert peak < 4.5 * 801 * 801 * 16, peak
+
+
+class TestLargeJ:
+    # j=500 is the largest spin cheap enough here: a cold build takes about
+    # 1 s and 64 MB, and the quarter turn is cached for the later tests
+
+    def test_unitarity_at_j500(self):
+        u = floquet_unitary(500, 2.5)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(1001))) < 1e-13
+
+    def test_coherent_state_bloch_vector_at_j500(self):
+        bloch = bloch_vector(coherent_state(500, 2.0, 1.0))
+        np.testing.assert_allclose(bloch, direction(2.0, 1.0), rtol=0, atol=1e-14)
+
+    def test_no_norm_drift_over_200_steps_at_j500(self):
+        state = coherent_state(500, 2.0, 1.0)
+        u = floquet_unitary(500, 2.5)
+        psi = state.amplitudes
+        for _ in range(200):
+            psi = u @ psi
+            assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        # without the kick the state stays coherent, so |r| stays 1
+        bloch = evolve_expectations(state, floquet_unitary(500, 0.0), 200)
+        np.testing.assert_allclose(np.linalg.norm(bloch, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestEvolveExpectations:

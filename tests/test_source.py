@@ -1,11 +1,14 @@
 """Source hygiene: exports resolve, public names are exported, private names are used.
 
 These checks read the package source with `ast`, so a deletion cannot
-leave a stale export or a dead private helper behind.
+leave a stale export or a dead private helper behind.  The package
+namespace is checked against the library modules' `__all__` lists, which
+`kickedtop/__init__.py` re-exports.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ import kickedtop
 SOURCE_DIR = Path(kickedtop.__file__).resolve().parent
 MODULE_PATHS = sorted(SOURCE_DIR.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULE_PATHS}
+# every module but the command-line entry point is re-exported by the package
+LIBRARY = sorted(set(TREES) - {"__init__", "cli"})
 
 
 def _module(stem: str):
@@ -81,3 +86,23 @@ def test_every_private_module_name_is_used():
         if name.startswith("_") and not name.endswith("__") and name not in used
     ]
     assert dead == []
+
+
+@pytest.mark.parametrize("stem", LIBRARY)
+def test_package_reexports_every_module_export(stem):
+    module = _module(stem)
+    missing = object()
+    differ = [name for name in module.__all__
+              if vars(kickedtop).get(name, missing) is not getattr(module, name)]
+    assert differ == [], (stem, differ)
+
+
+def test_module_exports_are_disjoint():
+    # a name in two lists would leave the later star import's object in place
+    owners = Counter(name for stem in LIBRARY for name in _module(stem).__all__)
+    assert [name for name, count in owners.items() if count > 1] == []
+
+
+def test_package_exports_exactly_the_module_exports():
+    exported = [name for stem in LIBRARY for name in _module(stem).__all__]
+    assert sorted(kickedtop.__all__) == sorted(exported + ["__version__"])
