@@ -474,14 +474,15 @@ def _pair(name: str, value, check) -> tuple:
 
 
 # rows rendered per write call: about 0.5 MB of text for a portrait, so
-# the transient string stays small next to the rows themselves
+# the transient string, and a portrait chunk's row tuples, stay small next
+# to the rows themselves
 _WRITE_CHUNK_ROWS = 4096
 
 # characters that make csv.writer quote a field under QUOTE_MINIMAL
 _CSV_SPECIALS = ',"\r\n'
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Tabular result of a run plus everything needed to reproduce it.
 
@@ -490,11 +491,17 @@ class Dataset:
     free of the CSV specials `,`, `"`, CR and LF.  The CSV then holds
     exactly what csv.writer(lineterminator="\n") would write: str() of
     each field, unquoted.  A row that would need quoting is refused.
+
+    `rows` is a list of such tuples, or a 1-d structured array of int and
+    float fields, one per column (phase-portrait); write turns the array
+    into row tuples one chunk at a time (`_as_tuples`), so a long array
+    never exists as Python objects all at once.  Datasets compare by
+    identity: `==` on array rows would be ambiguous.
     """
 
     kind: str
     columns: tuple
-    rows: list
+    rows: list | np.ndarray
     meta: dict
 
     def write(self, outdir) -> tuple:
@@ -517,12 +524,18 @@ class Dataset:
             with open(csv_path, "w", newline="") as handle:
                 handle.write(_csv_text(line, [tuple(self.columns)]))
                 for start in range(0, len(self.rows), _WRITE_CHUNK_ROWS):
-                    handle.write(_csv_text(line, self.rows[start:start + _WRITE_CHUNK_ROWS]))
+                    chunk = _as_tuples(self.rows[start:start + _WRITE_CHUNK_ROWS])
+                    handle.write(_csv_text(line, chunk))
         except BaseException:
             csv_path.unlink(missing_ok=True)
             raise
         meta_path.write_text(meta_text + "\n")
         return csv_path, meta_path
+
+
+def _as_tuples(rows) -> list:
+    """Dataset rows as row tuples: `.tolist()` of an array (native ints and floats), a list as is."""
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
 
 
 def _csv_text(line: str, rows: list) -> str:
@@ -568,10 +581,10 @@ def _run_phase_portrait(config: ExperimentConfig) -> Dataset:
     else:
         thetas, phis = grid_centers(*config.grid)
         initials = [(float(t), float(p)) for t in thetas for p in phis]
-    rows = phase_portrait(initials, KickParams(config.kappa), config.steps).tolist()
+    records = phase_portrait(initials, KickParams(config.kappa), config.steps)
     meta = _meta(config, "kappa", "steps", initials=initials,
                  note="grid defaults reconstruct the portrait; initials override it")
-    return Dataset(config.kind, ("traj_id", "step", "theta", "phi", "x", "y", "z"), rows, meta)
+    return Dataset(config.kind, records.dtype.names, records, meta)
 
 
 def _run_lyapunov(config: ExperimentConfig) -> Dataset:

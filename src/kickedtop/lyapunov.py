@@ -52,7 +52,7 @@ _CHUNK_STEPS = 4096
 
 
 class DegenerateTangentError(KickedTopError):
-    """Raised when a tangent-vector norm underflows during reorthonormalisation."""
+    """Raised when a tangent-vector norm underflows or overflows during reorthonormalisation."""
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,18 @@ def _norm(column: np.ndarray) -> float:
     return math.sqrt(c.dot(c))
 
 
+def _tangent_norm(column: np.ndarray, which: str, block: int) -> float:
+    """_norm of a tangent column; DegenerateTangentError if it overflowed or underflowed."""
+    norm = _norm(column)
+    if not math.isfinite(norm):
+        raise DegenerateTangentError(
+            f"{which} tangent norm is {norm!r} at block {block}: the tangent product overflowed"
+        )
+    if not norm > _NORM_FLOOR:
+        raise DegenerateTangentError(f"{which} tangent norm {norm!r} underflowed at block {block}")
+    return norm
+
+
 def benettin_lyapunov(
     start: SphericalPoint,
     params: KickParams,
@@ -158,7 +170,9 @@ def benettin_lyapunov(
     embedding space.  The reference orbit and its Jacobians are built in
     chunks; the tangent pair then advances by one 3x3 @ 3x2 matmul per step,
     kept because a hand-written product would round differently from BLAS
-    and change the output bytes.
+    and change the output bytes.  A tangent norm that underflows, or that
+    leaves float64 (a huge kappa or a very long block), raises
+    DegenerateTangentError naming the block.
     """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
@@ -170,24 +184,18 @@ def benettin_lyapunov(
     jacobians = _orbit_jacobians(state, params, n_blocks * steps_per_block)
     log_sum = 0.0
     block_series = np.empty(n_blocks)
-    for block in range(n_blocks):
-        for jac in islice(jacobians, steps_per_block):
-            w = jac @ w
-        alpha = _norm(w[:, 0])
-        if not alpha > _NORM_FLOOR:
-            raise DegenerateTangentError(
-                f"leading tangent norm {alpha!r} underflowed at block {block}"
-            )
-        w[:, 0] /= alpha
-        w[:, 1] -= (w[:, 0] @ w[:, 1]) * w[:, 0]
-        beta = _norm(w[:, 1])
-        if not beta > _NORM_FLOOR:
-            raise DegenerateTangentError(
-                f"second tangent norm {beta!r} underflowed at block {block}"
-            )
-        w[:, 1] /= beta
-        log_sum += np.log(alpha)
-        block_series[block] = log_sum / ((block + 1) * steps_per_block)
+    # an overflow in the Jacobians or the tangent product reaches the block's
+    # norms as inf or NaN, and _tangent_norm reports it there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in range(n_blocks):
+            for jac in islice(jacobians, steps_per_block):
+                w = jac @ w
+            alpha = _tangent_norm(w[:, 0], "leading", block)
+            w[:, 0] /= alpha
+            w[:, 1] -= (w[:, 0] @ w[:, 1]) * w[:, 0]
+            w[:, 1] /= _tangent_norm(w[:, 1], "second", block)
+            log_sum += np.log(alpha)
+            block_series[block] = log_sum / ((block + 1) * steps_per_block)
     return LyapunovEstimate(
         lam=float(block_series[-1]),
         block_series=block_series,

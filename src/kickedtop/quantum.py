@@ -61,7 +61,7 @@ class SpinState:
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes for j={self.j}, got {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_DRIFT_TOL:
+        if not abs(norm - 1.0) <= _NORM_DRIFT_TOL:  # a NaN norm fails too
             raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_DRIFT_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -136,12 +136,15 @@ def floquet_unitary(j, kappa: float) -> np.ndarray:
     """One-period unitary: pi/2 turn about y, then the Jz^2 kick.
 
     The kick phase per basis state is kappa m^2 / (2 j); kappa = 0 reduces
-    the map to the bare quarter turn.
+    the map to the bare quarter turn.  A kappa so large that a phase
+    overflows raises ValueError.
     """
     two_j = _two_j(j)
     j = two_j / 2.0
     if kappa < 0.0 or not np.isfinite(kappa):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
+    if not np.isfinite(float(kappa) * (j * j)):  # kappa m^2 at |m| = j, as the kick rounds it
+        raise ValueError(f"kick phase kappa m^2 / (2 j) overflows at kappa={kappa!r}, j={j!r}")
     m = _ladder(two_j)[0]
     kick = np.exp(-1j * kappa * m**2 / (2.0 * j))
     return kick[:, None] * _quarter_turn_y(two_j)
@@ -179,7 +182,7 @@ def evolve_expectations(state: SpinState, unitary: np.ndarray, steps: int) -> np
     for i in range(1, steps + 1):
         psi = unitary @ psi
         norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > _NORM_DRIFT_TOL:
+        if not abs(norm - 1.0) <= _NORM_DRIFT_TOL:  # a NaN norm fails too
             raise NormDriftError(f"norm drifted to {norm!r} at step {i}")
         out[i] = _bloch(psi, m, coeff)
     out /= state.j

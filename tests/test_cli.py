@@ -245,6 +245,23 @@ class TestFailurePaths:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        ("entropy-dynamics --kappa 1e308 --j 4 --steps 3",
+         "kick phase kappa m^2 / (2 j) overflows at kappa=1e+308, j=4.0"),
+        ("lyapunov --kappa 1e17 --n-blocks 5",
+         "leading tangent norm is inf at block 0: the tangent product overflowed"),
+        ("lyapunov --kappa 1e308 --n-blocks 5",
+         "leading tangent norm is nan at block 0: the tangent product overflowed"),
+    ], ids=["entropy-dynamics", "lyapunov-1e17", "lyapunov-1e308"])
+    def test_overflowing_kappa_is_one_line_error(self, tmp_path, capsys, argv, message):
+        # these used to print RuntimeWarnings; entropy-dynamics then wrote
+        # NaN rows and exited 0, lyapunov reported an underflow
+        code = main(argv.split() + ["--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("j_list", [["25"], ["25", "25"]], ids=["one-j", "repeated-j"])
     def test_teq_scaling_with_one_distinct_j_is_one_line_error(self, tmp_path, capsys, j_list):
         # one distinct j used to give a fitted line through one point,

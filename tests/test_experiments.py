@@ -24,6 +24,7 @@ from kickedtop import (
     fit_growth_rate,
     grid_centers,
     map_cell_value,
+    phase_portrait,
     run_experiment,
     sample_cap,
     spherical_to_cartesian,
@@ -35,6 +36,7 @@ from kickedtop.experiments import (
     _REQUIRED,
     _WRITE_CHUNK_ROWS,
     EXPERIMENT_KINDS,
+    _as_tuples,
     _thermo_series,
 )
 
@@ -45,6 +47,16 @@ REQUIRED_FIELDS = [
         "entropy-map", "thermo-map", "mi-map",
     )
 ] + [("teq-scaling", "j_list")]
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees allocated while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEstimateTeq:
@@ -196,13 +208,8 @@ class TestGridAndMaps:
         # series is kept, so moving the window late costs no memory.  Such
         # a series would take 2 * 8 B * 1001 * 3 * 100 = 4.8 MB here.
         def peak(window):
-            tracemalloc.start()
-            try:
-                equilibrium_map(ExperimentConfig("mi-map", kappa=2.5, j=100, grid=(3, 1),
-                                                 count=100, window=window, seed=1))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _traced_peak(lambda: equilibrium_map(ExperimentConfig(
+                "mi-map", kappa=2.5, j=100, grid=(3, 1), count=100, window=window, seed=1)))
 
         early, late = peak((0, 10)), peak((990, 1000))
         assert late - early < 200_000, (early, late)
@@ -430,10 +437,12 @@ SMALL_CONFIGS = {
 }
 
 
-# every kind's rows, and a portrait longer than one write chunk (5,025 rows)
+# every kind's rows, and a portrait (array rows) and a lyapunov run (a
+# tuple list) longer than one write chunk: 5,025 and 5,000 rows
 WRITER_CONFIGS = {
     **{kind: dict(kind=kind, **cfg) for kind, cfg in SMALL_CONFIGS.items()},
     "portrait-multi-chunk": dict(kind="phase-portrait", kappa=2.5, grid=(5, 5), steps=200),
+    "lyapunov-multi-chunk": dict(kind="lyapunov", kappa=6.0, n_blocks=5000, steps_per_block=2),
 }
 
 # the native field types no runner writes
@@ -453,8 +462,9 @@ class TestDatasetOutput:
     def test_rows_hold_native_scalars(self, kind):
         # the row contract of Dataset.write (str for int, repr for float)
         ds = run_experiment(ExperimentConfig(kind=kind, **SMALL_CONFIGS[kind]))
-        assert ds.rows
-        for row in ds.rows:
+        rows = _as_tuples(ds.rows)
+        assert rows
+        for row in rows:
             assert len(row) == len(ds.columns)
             for cell in row:
                 assert type(cell) in (int, float, str, bool), (row, type(cell))
@@ -485,14 +495,32 @@ class TestDatasetOutput:
             ds = HAND_BUILT
         else:
             ds = run_experiment(ExperimentConfig(**WRITER_CONFIGS[name]))
-        if name == "portrait-multi-chunk":
+        if name.endswith("multi-chunk"):
             assert len(ds.rows) > _WRITE_CHUNK_ROWS
         csv_path, _ = ds.write(tmp_path)
         with open(tmp_path / "oracle.csv", "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(ds.columns)
-            writer.writerows(ds.rows)
+            writer.writerows(_as_tuples(ds.rows))
         assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_datasets_compare_by_identity(self):
+        # portrait rows are an array, whose == is elementwise
+        config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(2, 2), steps=3)
+        ds = run_experiment(config)
+        assert ds == ds and ds != run_experiment(config)
+
+    def test_portrait_run_and_write_hold_one_chunk_of_row_tuples(self, tmp_path):
+        # the records go to Dataset.write as one structured array, which
+        # becomes row tuples a chunk at a time: 4096 tuples (about 1.1 MB)
+        # and their text (about 0.5 MB).  A list of all 40,100 row tuples,
+        # about 260 B each, would add 6 MB over the portrait's own peak.
+        thetas, phis = grid_centers(10, 10)
+        initials = [(float(t), float(p)) for t in thetas for p in phis]
+        portrait = _traced_peak(lambda: phase_portrait(initials, KickParams(2.5), 400))
+        config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(10, 10), steps=400)
+        written = _traced_peak(lambda: run_experiment(config).write(tmp_path))
+        assert written - portrait < 2_000_000, (portrait, written)
 
     @pytest.mark.parametrize("special", [",", '"', "\r", "\n"],
                              ids=["comma", "quote", "cr", "lf"])

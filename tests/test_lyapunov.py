@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickedtop import (
+    DegenerateTangentError,
     KickParams,
     SphericalPoint,
     benettin_lyapunov,
@@ -262,6 +263,16 @@ class TestBenettin:
         np.testing.assert_array_equal(
             est.block_series, stepwise_block_series(start, params, 40, 10)
         )
+
+    @pytest.mark.parametrize("kappa", [1e17, 1e308])
+    def test_overflowing_tangent_is_reported_at_its_block(self, kappa):
+        # the tangent product leaves float64 within block 0; this used to
+        # warn, then pass as an underflow at block 1 (1e17) or as a NaN
+        # norm "underflowed" at block 0 (1e308)
+        start = SphericalPoint(3 * np.pi / 4, 3 * np.pi / 4)
+        with pytest.raises(DegenerateTangentError,
+                           match="at block 0: the tangent product overflowed$"):
+            benettin_lyapunov(start, KickParams(kappa), 5, 10)
 
     @pytest.mark.parametrize("n_blocks,steps", [(0, 5), (5, 0), (-1, 1)])
     def test_rejects_invalid_block_structure(self, n_blocks, steps):

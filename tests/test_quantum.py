@@ -156,6 +156,13 @@ class TestFloquetUnitary:
         u4 = np.linalg.matrix_power(u, 4)
         assert np.max(np.abs(u4 - np.eye(11))) < 1e-10
 
+    def test_overflowing_kick_phase_is_refused(self):
+        # kappa m^2 at m = j = 4 overflows; the phase must not reach exp as
+        # NaN (nor warn on the way), and a large finite phase still builds
+        with pytest.raises(ValueError, match="overflows at kappa=1e"):
+            floquet_unitary(4, 1e308)
+        assert np.isfinite(floquet_unitary(4, 1e306)).all()
+
     def test_norm_conserved_over_thousand_applications(self):
         u = floquet_unitary(200, 6.0)
         psi = coherent_state(200, 2.0, 1.0).amplitudes.copy()
@@ -262,6 +269,12 @@ class TestEvolveExpectations:
         with pytest.raises(NormDriftError):
             evolve_expectations(state, 1.001 * floquet_unitary(5, 1.0), 3)
 
+    def test_flags_nan_norm(self):
+        # a NaN norm is not within the tolerance either
+        state = coherent_state(5, 1.0, 1.0)
+        with pytest.raises(NormDriftError, match=r"nan\)? at step 1$"):
+            evolve_expectations(state, np.full((11, 11), np.nan + 0j), 3)
+
     def test_quantum_classical_correspondence(self):
         # large j, weak kicking: expectation values follow the classical map
         center = SphericalPoint(3 * np.pi / 4, 3 * np.pi / 4)
@@ -336,6 +349,10 @@ class TestSpinState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             SpinState(j=1, amplitudes=np.array([1.0, 1.0, 0.0]))
+
+    def test_rejects_nan_amplitudes(self):
+        with pytest.raises(ValueError, match="is not 1"):
+            SpinState(j=1, amplitudes=np.array([np.nan, 0.0, 0.0]))
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):

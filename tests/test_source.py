@@ -106,3 +106,21 @@ def test_module_exports_are_disjoint():
 def test_package_exports_exactly_the_module_exports():
     exported = [name for stem in LIBRARY for name in _module(stem).__all__]
     assert sorted(kickedtop.__all__) == sorted(exported + ["__version__"])
+
+
+def test_version_is_declared_once():
+    # pyproject.toml reads the version from kickedtop.__version__; a string
+    # literal there lets setuptools read it without importing the package
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = tomllib.loads((SOURCE_DIR.parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "kickedtop.__version__"
+    }
+    literals = [
+        node.value.value for node in TREES["__init__"].body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        and [getattr(t, "id", None) for t in node.targets] == ["__version__"]
+    ]
+    assert literals == [kickedtop.__version__]
