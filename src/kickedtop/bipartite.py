@@ -56,9 +56,9 @@ class CapDistribution:
     def __post_init__(self):
         theta0, phi0 = self.center
         if not 0.0 < theta0 < np.pi:
-            raise ValueError(f"patch centre must avoid the poles, got theta={theta0!r}")
+            raise ValueError(f"patch centre must avoid the poles, got theta={float(theta0)}")
         if not 0.0 < self.solid_angle <= 4.0 * np.pi:
-            raise ValueError(f"solid_angle must be in (0, 4*pi], got {self.solid_angle!r}")
+            raise ValueError(f"solid_angle must be in (0, 4*pi], got {float(self.solid_angle)}")
         object.__setattr__(self, "center", SphericalPoint(float(theta0), float(phi0)))
         object.__setattr__(self, "solid_angle", float(self.solid_angle))
         half = 0.5 * self.half_width

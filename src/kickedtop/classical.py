@@ -57,7 +57,7 @@ class KickParams:
     def __post_init__(self):
         kappa = float(self.kappa)
         if not np.isfinite(kappa) or kappa < 0.0:
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
+            raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
         object.__setattr__(self, "kappa", kappa)
 
 

