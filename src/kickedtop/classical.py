@@ -167,28 +167,38 @@ PORTRAIT_DTYPE = np.dtype(
 )
 
 
+# rows per theta/phi block: the angles then need one (k, 3) copy of the
+# positions, a few hundred kB however long the portrait is
+_ANGLE_BLOCK_ROWS = 4096
+
+
 def phase_portrait(initials, params: KickParams, steps: int) -> np.ndarray:
     """Evolve several initial points and tag each record with its trajectory.
 
     initials: sequence of (theta, phi) pairs.  Returns a structured array
     with fields traj_id, step, theta, phi, x, y, z, ordered by trajectory
     and then by step.  All trajectories advance together as one batch, so
-    each one equals evolve_trajectory from its start.
+    each one equals evolve_trajectory from its start.  The records are
+    filled in place and are the only array of their size the call makes.
     """
     angles = np.array([(float(t), float(p)) for t, p in initials]).reshape(-1, 2)
     count = angles.shape[0]
-    paths = np.empty((steps + 1, count, 3))
-    paths[0] = spherical_to_cartesian(angles)
-    for t in range(steps):
-        paths[t + 1] = classical_step(paths[t], params)
-    flat = paths.transpose(1, 0, 2).reshape(-1, 3)
-    theta, phi = cartesian_to_spherical(flat)
-    records = np.empty(flat.shape[0], dtype=PORTRAIT_DTYPE)
-    records["traj_id"] = np.repeat(np.arange(count), steps + 1)
-    records["step"] = np.tile(np.arange(steps + 1), count)
-    records["theta"] = theta
-    records["phi"] = phi
-    records["x"] = flat[:, 0]
-    records["y"] = flat[:, 1]
-    records["z"] = flat[:, 2]
+    records = np.empty((count, steps + 1), dtype=PORTRAIT_DTYPE)
+    records["traj_id"] = np.arange(count)[:, None]
+    records["step"] = np.arange(steps + 1)
+    x, y, z = records["x"], records["y"], records["z"]
+    state = spherical_to_cartesian(angles)
+    for t in range(steps + 1):
+        if t:
+            state = classical_step(state, params)
+        x[:, t] = state[:, 0]
+        y[:, t] = state[:, 1]
+        z[:, t] = state[:, 2]
+    records = records.reshape(-1)
+    for start in range(0, records.size, _ANGLE_BLOCK_ROWS):
+        block = records[start:start + _ANGLE_BLOCK_ROWS]
+        # a stacked (k, 3) copy, so the angle ufuncs see the same 24-byte
+        # column strides, and round the same way, as on an (n, 3) orbit
+        xyz = np.stack([block["x"], block["y"], block["z"]], axis=-1)
+        block["theta"], block["phi"] = cartesian_to_spherical(xyz)
     return records

@@ -3,8 +3,9 @@
 Options may come from flags, from a JSON config file (--config), or both;
 flags win over the file, which wins over built-in defaults.  Each run
 writes <kind>.csv and <kind>.meta.json into --out and prints a one-line
-summary.  Invalid parameters, unreadable files and the package's own
-numerical failures exit with status 1 and a one-line "error:" on stderr.
+summary.  Invalid parameters, unreadable files, allocations that cannot
+be made and the package's own numerical failures exit with status 1 and
+a one-line "error:" on stderr.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 __all__ = ["main"]
 
 # failures reported as a one-line "error:" with exit status 1: bad input,
-# unreadable files, and the package's own numerical failures
-_REPORTED_ERRORS = (ValueError, OSError, KickedTopError)
+# unreadable files, an allocation that cannot be made, and the package's
+# own numerical failures
+_REPORTED_ERRORS = (ValueError, OSError, MemoryError, KickedTopError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,7 +104,8 @@ def main(argv=None) -> int:
         dataset = run_experiment(config)
         csv_path, meta_path = dataset.write(args.out)
     except _REPORTED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Python's own MemoryError carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     print(_summary_line(dataset))
     print(f"wrote {csv_path} and {meta_path}")

@@ -473,10 +473,10 @@ def _pair(name: str, value, check) -> tuple:
     return tuple(value)
 
 
-# rows rendered per write call: about 0.5 MB of text for a portrait, so
-# the transient string, and a portrait chunk's row tuples, stay small next
-# to the rows themselves
-_WRITE_CHUNK_ROWS = 4096
+# rows rendered per write call: for a portrait, 1024 row tuples (about
+# 0.23 MB) and their text (about 0.11 MB), at most about 0.5 MB while the
+# text is joined, so a chunk stays small next to the 56 B-a-row records
+_WRITE_CHUNK_ROWS = 1024
 
 # characters that make csv.writer quote a field under QUOTE_MINIMAL
 _CSV_SPECIALS = ',"\r\n'

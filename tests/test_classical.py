@@ -4,6 +4,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kickedtop import (
     KickParams,
@@ -243,6 +245,35 @@ class TestPhasePortrait:
             path = evolve_trajectory(spherical_to_cartesian(point), params, 300)
             theta, phi = cartesian_to_spherical(path)
             np.testing.assert_array_equal(block["step"], np.arange(301))
+            xyz = np.column_stack([block["x"], block["y"], block["z"]])
+            np.testing.assert_array_equal(xyz, path)
+            np.testing.assert_array_equal(block["theta"], theta)
+            np.testing.assert_array_equal(block["phi"], phi)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        initials=st.lists(st.tuples(
+            st.one_of(st.floats(0.0, np.pi), st.sampled_from([1e-9, 1e-6, np.pi - 1e-6])),
+            st.floats(0.0, 2 * np.pi),
+        ), max_size=12),
+        steps=st.integers(0, 800),
+        kappa=st.floats(0.0, 10.0),
+    )
+    @example(initials=[], steps=0, kappa=1.0)
+    @example(initials=[(2.2, 4.4)], steps=1, kappa=2.5)
+    @example(initials=[(1e-6, 0.3), (np.pi - 1e-6, 6.0)] * 6, steps=800, kappa=6.0)
+    def test_records_match_per_trajectory_oracle(self, initials, steps, kappa):
+        # up to 12 x 801 rows, so the angles fill zero, one or several
+        # blocks; each record must be the serial orbit's, bit for bit
+        params = KickParams(kappa)
+        records = phase_portrait(initials, params, steps)
+        assert records.shape == (len(initials) * (steps + 1),)
+        for traj_id, point in enumerate(initials):
+            block = records[traj_id * (steps + 1):(traj_id + 1) * (steps + 1)]
+            path = evolve_trajectory(spherical_to_cartesian(point), params, steps)
+            theta, phi = cartesian_to_spherical(path)
+            np.testing.assert_array_equal(block["traj_id"], traj_id)
+            np.testing.assert_array_equal(block["step"], np.arange(steps + 1))
             xyz = np.column_stack([block["x"], block["y"], block["z"]])
             np.testing.assert_array_equal(xyz, path)
             np.testing.assert_array_equal(block["theta"], theta)

@@ -292,6 +292,34 @@ class TestFailurePaths:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv", [
+        "phase-portrait --kappa 2.5 --steps 10000000000000",
+        "lyapunov --kappa 6 --n-blocks 100000000000000000",
+    ], ids=["phase-portrait", "lyapunov"])
+    def test_allocation_numpy_refuses_is_one_line_error(self, tmp_path, capsys, argv):
+        # about 200 PiB of records and 710 PiB of block series: larger than
+        # any address space, so numpy refuses them without touching memory.
+        # These used to end in a numpy MemoryError traceback.
+        code = main(argv.split() + ["--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "run").exists()
+
+    def test_error_without_a_message_prints_its_type(self, tmp_path, capsys, monkeypatch):
+        # a list that outgrows the memory limit raises a bare MemoryError,
+        # which used to print "error: " and nothing else
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setattr("kickedtop.cli.run_experiment", exhausted)
+        code = main(["phase-portrait", "--kappa", "2.5", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: MemoryError"]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("j_list", [["25"], ["25", "25"]], ids=["one-j", "repeated-j"])
     def test_teq_scaling_with_one_distinct_j_is_one_line_error(self, tmp_path, capsys, j_list):
         # one distinct j used to give a fitted line through one point,

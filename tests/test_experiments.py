@@ -16,6 +16,7 @@ from kickedtop import (
     ExperimentConfig,
     KickParams,
     NotEquilibratedError,
+    PORTRAIT_DTYPE,
     SphericalPoint,
     WindowTooShortError,
     classical_step,
@@ -510,17 +511,26 @@ class TestDatasetOutput:
         ds = run_experiment(config)
         assert ds == ds and ds != run_experiment(config)
 
+    def test_portrait_peak_is_its_records(self):
+        # the 40,100 records (2.2 MB) are filled in place; the orbit and
+        # the angles pass through buffers of a fixed size, not whole copies
+        thetas, phis = grid_centers(10, 10)
+        initials = [(float(t), float(p)) for t in thetas for p in phis]
+        peak = _traced_peak(lambda: phase_portrait(initials, KickParams(2.5), 400))
+        nbytes = len(initials) * 401 * PORTRAIT_DTYPE.itemsize
+        assert peak < nbytes + 500_000, (peak, nbytes)
+
     def test_portrait_run_and_write_hold_one_chunk_of_row_tuples(self, tmp_path):
         # the records go to Dataset.write as one structured array, which
-        # becomes row tuples a chunk at a time: 4096 tuples (about 1.1 MB)
-        # and their text (about 0.5 MB).  A list of all 40,100 row tuples,
-        # about 260 B each, would add 6 MB over the portrait's own peak.
+        # becomes row tuples a chunk at a time: 1024 tuples (about 0.23 MB)
+        # and their text (about 0.11 MB).  A list of all 40,100 row tuples,
+        # about 225 B each, would add 9 MB over the portrait's own peak.
         thetas, phis = grid_centers(10, 10)
         initials = [(float(t), float(p)) for t in thetas for p in phis]
         portrait = _traced_peak(lambda: phase_portrait(initials, KickParams(2.5), 400))
         config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(10, 10), steps=400)
         written = _traced_peak(lambda: run_experiment(config).write(tmp_path))
-        assert written - portrait < 2_000_000, (portrait, written)
+        assert written - portrait < 1_000_000, (portrait, written)
 
     @pytest.mark.parametrize("special", [",", '"', "\r", "\n"],
                              ids=["comma", "quote", "cr", "lf"])
