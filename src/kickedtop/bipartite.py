@@ -35,7 +35,7 @@ _MIN_ENSEMBLE = 8
 
 def _unit_j(j) -> float:
     j = float(j)
-    if not np.isfinite(j) or (2 * j) != round(2 * j) or j < 1:
+    if not np.isfinite(2 * j) or (2 * j) != round(2 * j) or j < 1:
         raise ValueError(f"j must be a half-integer >= 1, got {j!r}")
     return j
 

@@ -120,8 +120,9 @@ def _joint_knn_radii(joint: np.ndarray, k: int) -> np.ndarray:
     nearest, so column k is the k-th neighbour's distance even when exact
     duplicates make the order within the zeros arbitrary.
     """
-    # imported here, not at module top: scipy.spatial also loads scipy.sparse
-    # and scipy.linalg (about 0.13 s and 12 MB), which only MI runs need
+    # imported here, not at module top: scipy.spatial also loads scipy.special,
+    # scipy.sparse and scipy.linalg (about 0.5 s and 36 MB), which only MI
+    # runs need
     from scipy.spatial import cKDTree
 
     tree = cKDTree(joint)

@@ -11,11 +11,11 @@ package.  Bloch vectors are expectation values of (Jx, Jy, Jz) divided by j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .classical import KickedTopError
 
@@ -42,8 +42,9 @@ class NormDriftError(KickedTopError):
 
 
 def _two_j(j) -> int:
-    two_j = round(2 * float(j))
-    if abs(2 * float(j) - two_j) > 1e-9 or two_j < 1:
+    twice = 2 * float(j)
+    two_j = round(twice) if math.isfinite(twice) else 0  # 0 is refused below
+    if abs(twice - two_j) > 1e-9 or two_j < 1:
         raise ValueError(f"j must be a positive half-integer, got {float(j)}")
     return two_j
 
@@ -86,6 +87,58 @@ def _ladder(two_j: int):
     return m, coeff
 
 
+# constants of Cephes lgam (S. L. Moshier, Cephes Math Library): ln sqrt(2 pi)
+# and its Stirling series below x = 1000.  tests/test_quantum.py checks the
+# port bit for bit against the library gammaln and xlogy it replaces.
+_LN_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log_gamma(n: int) -> float:
+    """ln Gamma(n) for an integer n >= 1, bit for bit as Cephes lgam.
+
+    Every log is libm's, through math.log: numpy's SIMD log rounds some
+    inputs differently, which would move output bytes.
+    """
+    if n < 13:
+        return math.log(math.factorial(n - 1))
+    x = float(n)
+    q = (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    series = 0.0
+    for coeff in _STIRLING:
+        series = series * p + coeff
+    return q + series / x
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _log_factorials(two_j: int) -> np.ndarray:
+    """ln n! for n = 0 .. two_j (entry n is ln Gamma(n + 1)), read-only."""
+    table = np.array([_log_gamma(n) for n in range(1, two_j + 2)])
+    table.setflags(write=False)
+    return table
+
+
+def _xlogy(x: np.ndarray, y: float) -> np.ndarray:
+    """x ln(y) for y >= 0, with 0 where x == 0 unless y is NaN.
+
+    ln(y) is libm's, through math.log, and ln(0) = -inf without a warning.
+    """
+    log_y = math.log(y) if y else -math.inf
+    return np.multiply(x, log_y, out=np.zeros_like(x), where=(x != 0) | math.isnan(log_y))
+
+
 def coherent_state(j, theta0: float, phi0: float) -> SpinState:
     """Spin-coherent state centred at (theta0, phi0).
 
@@ -105,8 +158,9 @@ def coherent_state(j, theta0: float, phi0: float) -> SpinState:
     sin_half = np.sin(theta0 / 2.0)
     if cos_half < 0.0 or sin_half < 0.0:
         raise ValueError(f"theta0 must lie in [0, pi], got {float(theta0)}")
-    ln_binom = gammaln(2 * j + 1) - gammaln(j - m + 1) - gammaln(j + m + 1)
-    ln_mag = 0.5 * ln_binom + xlogy(j + m, cos_half) + xlogy(j - m, sin_half)
+    ln_fact = _log_factorials(two_j)  # entry i is ln (j - m_i)!; reversed, ln (j + m_i)!
+    ln_binom = ln_fact[two_j] - ln_fact - ln_fact[::-1]
+    ln_mag = 0.5 * ln_binom + _xlogy(j + m, cos_half) + _xlogy(j - m, sin_half)
     amps = np.exp(ln_mag) * np.exp(1j * (j - m) * phi0)
     amps /= np.linalg.norm(amps)
     return SpinState(j=j, amplitudes=amps)
@@ -211,7 +265,7 @@ def von_neumann_entropy_single_spin(bloch: np.ndarray) -> float:
     if r > 1.0 + _BLOCH_NORM_SLACK:
         raise _bloch_norm_error(r)
     lam = np.clip([(1.0 + r) / 2.0, (1.0 - r) / 2.0], 0.0, 1.0)
-    return float(-np.sum(xlogy(lam, lam)))
+    return float(-np.sum([_xlogy(p, p) for p in lam]))
 
 
 def thermo_limit_entropy(vectors) -> float:

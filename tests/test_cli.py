@@ -320,6 +320,22 @@ class TestFailurePaths:
         assert capsys.readouterr().err.splitlines() == ["error: MemoryError"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        ("entropy-dynamics --kappa 1 --j 1e308 --steps 2",
+         "j must be a positive half-integer, got 1e+308"),
+        ("mi-dynamics --kappa 1 --j 1e308 --steps 2 --count 10",
+         "j must be a half-integer >= 1, got 1e+308"),
+        ("teq-scaling --kappa 2.5 --j-list 1e308 2 --count 10 --steps 5",
+         "j must be a half-integer >= 1, got 1e+308"),
+    ], ids=["entropy-dynamics", "mi-dynamics", "teq-scaling"])
+    def test_j_whose_double_overflows_is_one_line_error(self, tmp_path, capsys, argv, message):
+        # 2j is infinite, which round() refused with an OverflowError traceback
+        code = main(argv.split() + ["--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("j_list", [["25"], ["25", "25"]], ids=["one-j", "repeated-j"])
     def test_teq_scaling_with_one_distinct_j_is_one_line_error(self, tmp_path, capsys, j_list):
         # one distinct j used to give a fitted line through one point,
@@ -381,26 +397,30 @@ def test_error_messages_print_numbers_as_python_numbers(fails, message):
 
 
 def test_only_mi_estimates_import_the_kd_tree(tmp_path):
-    # scipy.spatial loads scipy.sparse and scipy.linalg with it; the kinds
-    # without an MI stage must never pay for them, and the first MI
-    # estimate must find them
+    # importing scipy costs about 0.3 s and 24 MB of every CLI call; only
+    # the MI estimate's k-d tree needs it, so the kinds without an MI stage
+    # must never load any of scipy, and the first MI estimate must find it
     child = """
 import json, sys
-import numpy as np
-from kickedtop import ksg_mi
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+import kickedtop
 from kickedtop.cli import main
+on_import = scipy_modules()
 out = sys.argv[1]
 for argv in (
     ["lyapunov", "--kappa", "6", "--n-blocks", "5", "--steps-per-block", "2"],
     ["phase-portrait", "--kappa", "2.5", "--steps", "3", "--grid", "2", "2"],
     ["entropy-dynamics", "--kappa", "2.5", "--j", "2", "--steps", "3"],
+    ["entropy-map", "--kappa", "2.5", "--j", "2", "--grid", "2", "2", "--steps", "3"],
+    ["thermo-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "8", "--window", "1", "2"],
+    ["vn-vs-linear"],
 ):
     assert main(argv + ["--out", out]) == 0, argv
-lazy = ("scipy.spatial", "scipy.sparse")
-before = [name for name in lazy if name in sys.modules]
-ksg_mi(np.random.default_rng(0).normal(size=(50, 2)))
-after = [name for name in lazy if name in sys.modules]
-print(json.dumps({"before": before, "after": after}))
+after_runs = scipy_modules()
+import numpy as np
+kickedtop.ksg_mi(np.random.default_rng(0).normal(size=(50, 2)))
+print(json.dumps({"on_import": on_import, "after_runs": after_runs, "after_mi": scipy_modules()}))
 """
     src = Path(kickedtop.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -409,8 +429,9 @@ print(json.dumps({"before": before, "after": after}))
         capture_output=True, text=True, timeout=120, check=True,
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded["before"] == []
-    assert "scipy.spatial" in loaded["after"]
+    assert loaded["on_import"] == []
+    assert loaded["after_runs"] == []
+    assert "scipy.spatial" in loaded["after_mi"]
 
 
 def test_every_flag_is_a_config_field():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln, xlogy
 
 from kickedtop import (
     KickParams,
@@ -26,7 +27,14 @@ from kickedtop import (
 )
 from kickedtop import quantum
 from kickedtop.bipartite import CapDistribution, sample_cap
-from kickedtop.quantum import _ladder, _quarter_turn_y, _two_j
+from kickedtop.quantum import (
+    _ladder,
+    _log_factorials,
+    _log_gamma,
+    _quarter_turn_y,
+    _two_j,
+    _xlogy,
+)
 
 
 def spin_operators(j):
@@ -180,7 +188,7 @@ class TestFloquetUnitary:
         for j in range(1, 11):
             floquet_unitary(j, 1.0)
             coherent_state(j, 1.0, 0.5)
-        for cache in (_quarter_turn_y, _ladder):
+        for cache in (_quarter_turn_y, _ladder, _log_factorials):
             info = cache.cache_info()
             assert info.maxsize is not None
             assert info.currsize == info.maxsize
@@ -357,3 +365,83 @@ class TestSpinState:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             SpinState(j=1, amplitudes=np.array([1.0, 0.0]))
+
+
+def bits(values) -> bytes:
+    """The float64 bytes of values: equal bits, the sign of zero included."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def scipy_coherent_amplitudes(j, theta0, phi0):
+    """coherent_state's amplitudes from scipy's gammaln and xlogy.
+
+    The formula the package used before it took its logs from libm; the
+    package must reproduce it bit for bit.
+    """
+    two_j = _two_j(j)
+    j = two_j / 2.0
+    m = _ladder(two_j)[0]
+    cos_half = np.cos(theta0 / 2.0)
+    sin_half = np.sin(theta0 / 2.0)
+    ln_binom = gammaln(2 * j + 1) - gammaln(j - m + 1) - gammaln(j + m + 1)
+    ln_mag = 0.5 * ln_binom + xlogy(j + m, cos_half) + xlogy(j - m, sin_half)
+    amps = np.exp(ln_mag) * np.exp(1j * (j - m) * phi0)
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.filterwarnings("error")
+class TestScipyOracles:
+    # the coherent state ports Cephes lgam (scipy's gammaln) and xlogy onto
+    # math.log; a scipy release that changes either must fail here rather
+    # than silently move output bytes
+
+    def test_log_factorials_match_gammaln_at_every_integer(self):
+        n_max = 200_001
+        table = _log_factorials(n_max - 1)
+        assert table.shape == (n_max,) and not table.flags.writeable
+        assert bits(table) == bits(gammaln(np.arange(1, n_max + 1)))
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 13, 999, 1000, 1001, 10**8, 10**8 + 1, 2**40])
+    def test_log_gamma_matches_gammaln_at_branch_edges(self, n):
+        assert bits(_log_gamma(n)) == bits(gammaln(float(n)))
+
+    @pytest.mark.parametrize("y", [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, np.nan])
+    def test_xlogy_matches_scipy(self, y):
+        x = np.concatenate([np.arange(801.0), np.random.default_rng(0).uniform(0.0, 1e3, 200)])
+        assert bits(_xlogy(x, y)) == bits(xlogy(x, y))
+
+    @settings(deadline=None)
+    @given(x=st.floats(0.0, 1e6), y=st.floats(0.0, 1.0))
+    def test_xlogy_matches_scipy_on_random_values(self, x, y):
+        x = np.array([0.0, x])
+        assert bits(_xlogy(x, y)) == bits(xlogy(x, y))
+
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 15, 20, 200, 800, 2001])
+    def test_coherent_state_matches_scipy_formula(self, two_j):
+        rng = np.random.default_rng(two_j)
+        thetas = [0.0, np.pi, 1e-300, np.pi - 1e-15, *rng.uniform(0.0, np.pi, 8)]
+        for theta in thetas:
+            phi = rng.uniform(0.0, 2 * np.pi)
+            got = coherent_state(two_j / 2, theta, phi).amplitudes
+            assert got.tobytes() == scipy_coherent_amplitudes(two_j / 2, theta, phi).tobytes()
+
+    @settings(deadline=None)
+    @given(
+        two_j=st.integers(1, 300),
+        theta=st.one_of(st.floats(0.0, np.pi), NEAR_POLE),
+        phi=st.floats(0.0, 2 * np.pi),
+    )
+    def test_coherent_state_matches_scipy_formula_anywhere(self, two_j, theta, phi):
+        got = coherent_state(two_j / 2, theta, phi).amplitudes
+        assert got.tobytes() == scipy_coherent_amplitudes(two_j / 2, theta, phi).tobytes()
+
+    @settings(deadline=None)
+    @given(r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1e-300, 1.0 - 1e-16])))
+    def test_von_neumann_entropy_matches_scipy_formula(self, r):
+        lam = np.clip([(1.0 + r) / 2.0, (1.0 - r) / 2.0], 0.0, 1.0)
+        expected = float(-np.sum(xlogy(lam, lam)))
+        assert bits(von_neumann_entropy_single_spin(np.array([0.0, r, 0.0]))) == bits(expected)
+
+    def test_pure_state_entropy_is_negative_zero(self):
+        # the negated +0.0 sum; ROADMAP item 6 drops the sign in a version break
+        assert bits(von_neumann_entropy_single_spin(np.array([0.0, 0.0, 1.0]))) == bits(-0.0)
