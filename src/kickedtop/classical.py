@@ -175,13 +175,14 @@ _ANGLE_BLOCK_ROWS = 4096
 def phase_portrait(initials, params: KickParams, steps: int) -> np.ndarray:
     """Evolve several initial points and tag each record with its trajectory.
 
-    initials: sequence of (theta, phi) pairs.  Returns a structured array
-    with fields traj_id, step, theta, phi, x, y, z, ordered by trajectory
-    and then by step.  All trajectories advance together as one batch, so
-    each one equals evolve_trajectory from its start.  The records are
-    filled in place and are the only array of their size the call makes.
+    initials: sequence of (theta, phi) pairs, or a (count, 2) array of
+    them.  Returns a structured array with fields traj_id, step, theta,
+    phi, x, y, z, ordered by trajectory and then by step.  All trajectories
+    advance together as one batch, so each one equals evolve_trajectory
+    from its start.  The records are filled in place and are the only
+    array of their size the call makes.
     """
-    angles = np.array([(float(t), float(p)) for t, p in initials]).reshape(-1, 2)
+    angles = np.asarray(initials, dtype=np.float64).reshape(len(initials), 2)
     count = angles.shape[0]
     records = np.empty((count, steps + 1), dtype=PORTRAIT_DTYPE)
     records["traj_id"] = np.arange(count)[:, None]

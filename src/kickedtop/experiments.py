@@ -577,12 +577,17 @@ def _meta(config: ExperimentConfig, *names, **extras) -> dict:
 
 def _run_phase_portrait(config: ExperimentConfig) -> Dataset:
     if config.initials is not None:
-        initials = [tuple(map(float, point)) for point in config.initials]
+        initials = np.array(config.initials, dtype=np.float64)
     else:
+        # the grid starts as one array, not nθ·nφ Python pairs, so numpy
+        # refuses a grid too large to hold before anything grows
         thetas, phis = grid_centers(*config.grid)
-        initials = [(float(t), float(p)) for t in thetas for p in phis]
+        initials = np.empty((thetas.size, phis.size, 2))
+        initials[..., 0] = thetas[:, np.newaxis]
+        initials[..., 1] = phis
+        initials = initials.reshape(-1, 2)
     records = phase_portrait(initials, KickParams(config.kappa), config.steps)
-    meta = _meta(config, "kappa", "steps", initials=initials,
+    meta = _meta(config, "kappa", "steps", initials=initials.tolist(),
                  note="grid defaults reconstruct the portrait; initials override it")
     return Dataset(config.kind, records.dtype.names, records, meta)
 

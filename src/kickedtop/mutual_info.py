@@ -10,18 +10,29 @@ than eps_i in each coordinate, and
 in nats.  Zero distances break the counting logic, so the inputs get a
 deterministic value-keyed jitter of order 1e-10 times the data range before
 any distances are computed.
+
+The neighbour search is an exact window search in numpy: each ensemble is
+sorted by its first coordinate, and each sample's k-th distance is taken
+over a window of sorted neighbours that widens until the gaps in that
+coordinate prove no sample outside it is closer.  It gives the bits of a
+k-d tree's max-norm query without one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["MIEstimate", "digamma", "ksg_mi"]
 
 _JITTER_SCALE = 1e-10
+# window entries (points times window width) the neighbour search holds at
+# once, which bounds its temporary arrays to a few MB for any stack
+_KNN_CHUNK = 2**17
 
 
 @dataclass(frozen=True)
@@ -113,21 +124,64 @@ def _jitter(values: np.ndarray, axis: int) -> np.ndarray:
     return values + _JITTER_SCALE * span * unit
 
 
-def _joint_knn_radii(joint: np.ndarray, k: int) -> np.ndarray:
-    """Chebyshev distance from each joint sample to its k-th neighbour.
+def _joint_knn_radii(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Chebyshev distance from each joint sample (a, b) to its k-th neighbour.
 
-    Each query returns the sample itself at distance 0 among its k + 1
-    nearest, so column k is the k-th neighbour's distance even when exact
-    duplicates make the order within the zeros arbitrary.
+    a and b are (B, n): row i holds the n samples of ensemble i, and each
+    row is searched on its own.  Every row is sorted by a, and each point
+    takes its distances max(|da|, |db|) to the 2w + 1 sorted positions
+    around its own (a window clamped inside the row, so it holds the point
+    itself at distance 0).  The window's (k + 1)-th smallest distance is
+    exact when the window is the whole row, or when |da| to the first
+    sorted point outside it is at least that candidate on both sides: every
+    point further out is at least as far in a alone, because rounding is
+    monotone, and one that ties the candidate does not change it.  Points
+    that fail this check are searched again with w doubled.  Each pass
+    runs in chunks of at most _KNN_CHUNK window entries.  The distances are
+    the float operations of a k-d tree's max-norm query, so the radii have
+    its bits, and each row has the bits of a one-row call.
     """
-    # imported here, not at module top: scipy.spatial also loads scipy.special,
-    # scipy.sparse and scipy.linalg (about 0.5 s and 36 MB), which only MI
-    # runs need
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(joint)
-    dist, _ = tree.query(joint, k=k + 1, p=np.inf)
-    return dist[:, k]
+    rows, n = a.shape
+    order = np.argsort(a, axis=-1, kind="stable")
+    sorted_a = np.take_along_axis(a, order, axis=-1).ravel()
+    sorted_b = np.take_along_axis(b, order, axis=-1).ravel()
+    radii = np.empty(sorted_a.size)
+    # flat positions in the sorted rows whose radius is not yet certified
+    pending = np.arange(sorted_a.size)
+    w = max(k, math.isqrt(k * n) // 2)
+    while pending.size:
+        width = min(2 * w + 1, n)
+        # row i of these views is the window of sorted positions i .. i + width - 1
+        windows_a = sliding_window_view(sorted_a, width)
+        windows_b = sliding_window_view(sorted_b, width)
+        step = max(1, _KNN_CHUNK // width)
+        unresolved = []
+        for start in range(0, pending.size, step):
+            points = pending[start:start + step]
+            row_start = points - points % n
+            lo = row_start + np.clip(points % n - w, 0, n - width)
+            dist = windows_a[lo]
+            dist -= sorted_a[points, np.newaxis]
+            np.abs(dist, out=dist)
+            dist_b = windows_b[lo]
+            dist_b -= sorted_b[points, np.newaxis]
+            np.abs(dist_b, out=dist_b)
+            np.maximum(dist, dist_b, out=dist)
+            del dist_b  # freed before the next chunk allocates its own
+            dist.partition(k, axis=-1)
+            radius = dist[:, k]
+            radii[points] = radius
+            hi = lo + width
+            left = (lo == row_start) | (np.abs(sorted_a[lo - 1] - sorted_a[points]) >= radius)
+            right = (hi == row_start + n) | (
+                np.abs(sorted_a[np.minimum(hi, sorted_a.size - 1)] - sorted_a[points]) >= radius
+            )
+            unresolved.append(points[~(left & right)])
+        pending = np.concatenate(unresolved)
+        w *= 2
+    out = np.empty((rows, n))
+    np.put_along_axis(out, order, radii.reshape(rows, n), axis=-1)
+    return out
 
 
 def _strict_marginal_counts(values: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -177,10 +231,7 @@ def ksg_mi(samples, k: int = 3) -> MIEstimate:
         raise ValueError("samples must be finite")
     a = _jitter(_standardise(stack[..., 0]), axis=0)
     b = _jitter(_standardise(stack[..., 1]), axis=1)
-    joint = np.stack([a, b], axis=-1)
-    eps = np.empty(a.shape)
-    for row, ensemble in enumerate(joint):
-        eps[row] = _joint_knn_radii(ensemble, k)
+    eps = _joint_knn_radii(a, b, k)
     n_a = _strict_marginal_counts(a, eps)
     n_b = _strict_marginal_counts(b, eps)
     psi = _psi_table(n)

@@ -294,7 +294,8 @@ def test_criterion_08_exactness_suite():
     np.fill_diagonal(diffs, np.inf)
     ordered = np.sort(diffs, axis=1)
     for k in (1, 3, 10):
-        np.testing.assert_array_equal(_joint_knn_radii(points, k), ordered[:, k - 1])
+        radii = _joint_knn_radii(points[np.newaxis, :, 0], points[np.newaxis, :, 1], k)
+        np.testing.assert_array_equal(radii[0], ordered[:, k - 1])
 
 
 def test_criterion_09_quantum_classical_correspondence():

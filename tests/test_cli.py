@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +309,27 @@ class TestFailurePaths:
         assert "Traceback" not in captured.err
         assert not (tmp_path / "run").exists()
 
+    def test_huge_portrait_grid_is_refused_before_it_grows(self, tmp_path):
+        # 10^10 starts (1 TiB of records): the grid starts are one array,
+        # which numpy refuses at once.  They used to be built as Python pairs
+        # first, growing until the OS stopped the process.  The child's
+        # address space is capped, so a host that grants the array cannot
+        # fill it.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        argv = "phase-portrait --kappa 2.5 --grid 100000 100000 --steps 1".split()
+        src = Path(kickedtop.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "kickedtop.cli", *argv, "--out", str(tmp_path / "run")],
+            env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=cap_address_space,
+            capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
+        assert not (tmp_path / "run").exists()
+
     def test_error_without_a_message_prints_its_type(self, tmp_path, capsys, monkeypatch):
         # a list that outgrows the memory limit raises a bare MemoryError,
         # which used to print "error: " and nothing else
@@ -396,10 +418,9 @@ def test_error_messages_print_numbers_as_python_numbers(fails, message):
     assert str(caught.value) == message
 
 
-def test_only_mi_estimates_import_the_kd_tree(tmp_path):
-    # importing scipy costs about 0.3 s and 24 MB of every CLI call; only
-    # the MI estimate's k-d tree needs it, so the kinds without an MI stage
-    # must never load any of scipy, and the first MI estimate must find it
+def test_no_run_imports_scipy(tmp_path):
+    # importing scipy costs about 0.4 s and 35 MB; the package needs none of
+    # it, so neither the import nor a run of any kind may load a scipy module
     child = """
 import json, sys
 def scipy_modules():
@@ -415,12 +436,15 @@ for argv in (
     ["entropy-map", "--kappa", "2.5", "--j", "2", "--grid", "2", "2", "--steps", "3"],
     ["thermo-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "8", "--window", "1", "2"],
     ["vn-vs-linear"],
+    ["mi-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "20", "--window", "1", "2"],
+    ["mi-dynamics", "--kappa", "2.5", "--j", "10", "--count", "20", "--steps", "3"],
+    ["teq-scaling", "--kappa", "2.5", "--j-list", "5", "10", "--count", "20", "--steps", "30"],
+    ["mi-selftest", "--count", "50"],
 ):
     assert main(argv + ["--out", out]) == 0, argv
-after_runs = scipy_modules()
 import numpy as np
 kickedtop.ksg_mi(np.random.default_rng(0).normal(size=(50, 2)))
-print(json.dumps({"on_import": on_import, "after_runs": after_runs, "after_mi": scipy_modules()}))
+print(json.dumps({"on_import": on_import, "after_runs": scipy_modules()}))
 """
     src = Path(kickedtop.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -429,9 +453,7 @@ print(json.dumps({"on_import": on_import, "after_runs": after_runs, "after_mi": 
         capture_output=True, text=True, timeout=120, check=True,
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded["on_import"] == []
-    assert loaded["after_runs"] == []
-    assert "scipy.spatial" in loaded["after_mi"]
+    assert loaded == {"on_import": [], "after_runs": []}
 
 
 def test_every_flag_is_a_config_field():

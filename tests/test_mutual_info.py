@@ -1,5 +1,7 @@
 """Tests for the k-nearest-neighbour mutual information estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickedtop import digamma, ksg_mi
-from kickedtop.mutual_info import _joint_knn_radii, _psi_table
+from kickedtop.mutual_info import _jitter, _joint_knn_radii, _psi_table, _standardise
 
 
 def gaussian_pairs(rho, n, seed):
@@ -63,27 +65,96 @@ class TestDigamma:
             digamma(bad)
 
 
+def tree_radii(a, b, k):
+    """Each row's radii from scipy's k-d tree, the search's reference."""
+    from scipy.spatial import cKDTree
+
+    radii = []
+    for row in np.stack([a, b], axis=-1):
+        dist, _ = cKDTree(row).query(row, k=k + 1, p=np.inf)
+        radii.append(dist[:, k])
+    return np.array(radii)
+
+
+@st.composite
+def knn_stacks(draw):
+    """(a, b, k) stacks with the ties, duplicates and marginals KSG meets."""
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(k + 2, 600))
+    rows = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["normal", "rounded", "duplicates", "constant", "correlated"]))
+    a = rng.normal(size=(rows, n))
+    b = rng.normal(size=(rows, n))
+    if shape == "rounded":
+        # distance ties and, at the larger n, exact duplicates
+        a, b = np.round(a, 1), np.round(b, 1)
+    elif shape == "duplicates":
+        picks = rng.integers(0, max(1, n // 4), size=(rows, n))
+        a, b = np.take_along_axis(a, picks, -1), np.take_along_axis(b, picks, -1)
+    elif shape == "constant":
+        # every sorted gap is 0, so each window must grow to the whole row
+        a, b = (np.full_like(a, 0.25), b) if draw(st.booleans()) else (a, np.full_like(b, 0.25))
+    elif shape == "correlated":
+        b = a + 1e-6 * b
+    if draw(st.booleans()):
+        a, b = _jitter(_standardise(a), axis=0), _jitter(_standardise(b), axis=1)
+    return a, b, k
+
+
 class TestKnnSearch:
-    # _joint_knn_radii is the estimator's one neighbour search
+    # _joint_knn_radii is the estimator's one neighbour search; it takes the
+    # two coordinates as (B, n) stacks, one ensemble per row
     def test_three_point_line(self):
-        radii = _joint_knn_radii(np.array([[0.0], [1.0], [3.0]]), 1)
-        np.testing.assert_array_equal(radii, [1.0, 1.0, 2.0])
+        radii = _joint_knn_radii(np.array([[0.0, 1.0, 3.0]]), np.zeros((1, 3)), 1)
+        np.testing.assert_array_equal(radii, [[1.0, 1.0, 2.0]])
 
     def test_duplicate_gives_zero_distance(self):
-        pts = np.array([[0.5, 0.5], [0.5, 0.5], [2.0, 2.0]])
-        np.testing.assert_array_equal(_joint_knn_radii(pts, 1), [0.0, 0.0, 1.5])
+        coords = np.array([[0.5, 0.5, 2.0]])
+        np.testing.assert_array_equal(_joint_knn_radii(coords, coords, 1), [[0.0, 0.0, 1.5]])
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n", [5, 30, 199, 500])
     def test_tree_radii_match_brute_force(self, n, k):
         # rounding to one decimal makes distance ties and, at the larger n,
-        # exact duplicates
+        # exact duplicates; a second, shuffled row checks the stack form
         rng = np.random.default_rng(3)
         pts = np.round(rng.normal(size=(n, 2)), 1)
         cheb = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1)
         np.fill_diagonal(cheb, np.inf)
         brute = np.sort(cheb, axis=1)[:, k - 1]
-        np.testing.assert_array_equal(_joint_knn_radii(pts, k), brute)
+        perm = rng.permutation(n)
+        stack = np.stack([pts, pts[perm]])
+        radii = _joint_knn_radii(stack[..., 0], stack[..., 1], k)
+        np.testing.assert_array_equal(radii, [brute, brute[perm]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=knn_stacks())
+    def test_radii_have_the_bits_of_a_kd_tree(self, stack):
+        a, b, k = stack
+        radii = _joint_knn_radii(a, b, k)
+        assert radii.tobytes() == tree_radii(a, b, k).tobytes()
+        for row in range(a.shape[0]):
+            alone = _joint_knn_radii(a[row:row + 1], b[row:row + 1], k)
+            assert alone.tobytes() == radii[row].tobytes()
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_peak_memory_is_bounded_by_the_chunk(self, constant):
+        # the window search holds at most 2**17 float64 entries (1 MiB) per
+        # temporary array; an unchunked search at n = 5000 (the mi-selftest
+        # default) peaks at about 21 MiB, and at about 900 MiB once a
+        # constant marginal makes every window span the row
+        samples = gaussian_pairs(0.6, 5000, seed=21)
+        if constant:
+            samples[:, 0] = 1.0
+        ksg_mi(samples, k=3)
+        tracemalloc.start()
+        try:
+            ksg_mi(samples, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
 
 
 class TestKsgMi:
