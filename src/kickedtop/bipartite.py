@@ -113,14 +113,15 @@ def _cap_vectors(dist: CapDistribution, count: int, seed) -> np.ndarray:
 def sample_pairs(dist1: CapDistribution, dist2: CapDistribution, j, count: int, seed):
     """Initial unit vectors (n1, n2), each (count, 3), of a paired ensemble.
 
-    Subsystem i starts from an area-uniform draw of dist_i; the two draws
-    use independent child streams of `seed`.
+    Subsystem i starts from an area-uniform draw of dist_i, from the child
+    stream of `seed` keyed i - 1, so reusing a SeedSequence repeats the pair.
     """
     _unit_j(j)
     if count < _MIN_ENSEMBLE:
         raise ValueError(f"count must be >= {_MIN_ENSEMBLE}, got {count}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    child1, child2 = root.spawn(2)
+    child1, child2 = (np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (c,))
+                      for c in (0, 1))
     return _cap_vectors(dist1, count, child1), _cap_vectors(dist2, count, child2)
 
 

@@ -197,13 +197,6 @@ class EquilibriumMap:
     failures: list = field(default_factory=list)
 
 
-def _record(failures, cell, exc: ValueError):
-    """Note a cell's failure, or re-raise it when the caller keeps no list."""
-    if failures is None:
-        raise exc
-    failures.append((cell, str(exc)))
-
-
 def _top_steps(states, params, steps):
     """Yield an (N, 3) ensemble of single tops after 0..steps periods."""
     yield states
@@ -220,53 +213,49 @@ def _mi_start(center, spread1, j, count, seed):
     return sample_pairs(dist1, dist2, j, count, seed)
 
 
-def _mi_series(starts, cells, params, j, window, k, failures=None):
+def _mi_series(starts, params, j, window, k):
     """KSG MI (nats) of each bipartite ensemble at steps window[0]..window[1].
 
-    starts holds one (n1, n2) pair of equal-sized ensembles per cell; all
+    starts holds one (n1, n2) pair of equal-sized ensembles per row; all
     of them step together as one stacked array, and only the current step
-    is held, so memory stays O(cells * count + cells * window).  Each
-    window step makes one `ksg_mi` call on the (cells, count, 2) stack; a
-    ValueError from it fails every cell, in cell order.  Returns a
-    (len(cells), window length) array.
+    is held, so memory stays O(rows * count + rows * window).  Each
+    window step makes one `ksg_mi` call on the (rows, count, 2) stack, so
+    its ValueError belongs to the whole stack and propagates.  Returns a
+    (len(starts), window length) array.
     """
     lo, hi = window
     n1 = np.concatenate([n1 for n1, _ in starts])
     n2 = np.concatenate([n2 for _, n2 in starts])
-    values = np.full((len(cells), hi - lo + 1), np.nan)
+    values = np.empty((len(starts), hi - lo + 1))
     steps = pair_x_steps(n1, n2, params, j, hi)
     for col, xs in enumerate(islice(steps, lo, None)):
-        try:
-            values[:, col] = ksg_mi(xs.T.reshape(len(cells), -1, 2), k=k).value
-        except ValueError as exc:
-            for cell in cells:
-                _record(failures, cell, exc)
-            break
+        values[:, col] = ksg_mi(xs.T.reshape(len(starts), -1, 2), k=k).value
     return values
 
 
-def _thermo_series(starts, cells, params, window, failures=None):
+def _thermo_series(starts, params, window):
     """Linear entropy of each ensemble's mean vector at steps window[0]..window[1].
 
     All ensembles step together as one stacked array.  Each window step
     takes every ensemble's mean in one reduction, and its |r|^2 as a
     stacked matmul, whose rows have the bits of np.dot; so row i is
-    thermo_limit_entropy(ensemble i).  A row whose mean vector is longer
-    than 1 beyond roundoff stays NaN from then on and goes to `failures`.
-    Returns a (len(cells), window length) array.
+    thermo_limit_entropy(ensemble i).  Returns a (len(starts), window
+    length) array and a list of (row, reason) pairs: a row whose mean
+    vector is longer than 1 beyond roundoff stays NaN from then on.
     """
     lo, hi = window
-    values = np.full((len(cells), hi - lo + 1), np.nan)
-    live = np.ones(len(cells), dtype=bool)
+    values = np.full((len(starts), hi - lo + 1), np.nan)
+    live = np.ones(len(starts), dtype=bool)
+    failed = []
     steps = _top_steps(np.concatenate(starts), params, hi)
     for col, states in enumerate(islice(steps, lo, None)):
-        mean = states.reshape(len(cells), -1, 3).mean(axis=1)
+        mean = states.reshape(len(starts), -1, 3).mean(axis=1)
         r2 = (mean[:, np.newaxis, :] @ mean[:, :, np.newaxis])[:, 0, 0]
         for row in np.flatnonzero(live & (r2 > 1.0 + _BLOCH_NORM_SLACK)):
-            _record(failures, cells[row], _bloch_norm_error(np.sqrt(r2[row])))
+            failed.append((int(row), str(_bloch_norm_error(np.sqrt(r2[row])))))
             live[row] = False
         values[live, col] = np.maximum(0.5 * (1.0 - r2[live]), 0.0)
-    return values
+    return values, failed
 
 
 def _entropy_series(states, unitary, window):
@@ -287,27 +276,27 @@ def _entropy_series(states, unitary, window):
 _MAP_KINDS = ("entropy-map", "thermo-map", "mi-map")
 
 
-def _map_values(config: ExperimentConfig, cells, failures=None):
-    """Values of the listed grid cells of one map, computed in one pass.
+def _map_values(config: ExperimentConfig, cells):
+    """Values of the listed grid cells of one map, and (cell, reason) failures.
 
     `config` must be resolved (see _resolved), so its grid and window are
     set and checked.  Every cell gets its own start: a coherent state, or an
-    ensemble drawn from the child stream keyed by its index; a cell that
-    raises ValueError there keeps NaN and goes to `failures`.  The started
+    ensemble drawn from the child stream keyed by its index.  The started
     cells then go through their kind's series function together, and each
-    value is the mean of its cell's window.  The Floquet unitary is built
-    only when some cell started, so a bad j fails every cell alike.
+    value is the mean of its cell's window.  A failed cell keeps NaN; one
+    `ksg_mi` call serves every started cell, so its ValueError fails them
+    all.  The Floquet unitary is built only when some cell started, so a
+    bad j fails every cell alike.
     """
     kind, j = config.kind, config.j
     if kind not in _MAP_KINDS:
         raise ValueError(f"kind must be one of {_MAP_KINDS}, got {kind!r}")
     n_theta, n_phi = config.grid
     thetas, phis = grid_centers(n_theta, n_phi)
-    for cell in cells:
+    started, starts, failures = [], [], []
+    for row, cell in enumerate(cells):
         if not 0 <= cell < n_theta * n_phi:
             raise IndexError(f"cell_index {cell} out of range for {n_theta}x{n_phi}")
-    rows, starts = [], []
-    for row, cell in enumerate(cells):
         center = (float(thetas[cell // n_phi]), float(phis[cell % n_phi]))
         cell_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(cell,))
         try:
@@ -319,24 +308,27 @@ def _map_values(config: ExperimentConfig, cells, failures=None):
             else:
                 start = _mi_start(center, config.spread1, j, config.count, cell_seed)
         except ValueError as exc:
-            _record(failures, cell, exc)
+            failures.append((cell, str(exc)))
             continue
-        rows.append(row)
+        started.append(row)
         starts.append(start)
     values = np.full(len(cells), np.nan)
     if not starts:
-        return values
-    started = [cells[row] for row in rows]
+        return values, failures
     params = KickParams(config.kappa)
     if kind == "entropy-map":
         windows = _entropy_series(starts, floquet_unitary(j, config.kappa), config.window)
     elif kind == "thermo-map":
-        windows = _thermo_series(starts, started, params, config.window, failures)
+        windows, failed = _thermo_series(starts, params, config.window)
+        failures += [(cells[started[row]], reason) for row, reason in failed]
     else:
-        windows = _mi_series(starts, started, params, j, config.window, config.k, failures)
-    for row, series in zip(rows, windows):
+        try:
+            windows = _mi_series(starts, params, j, config.window, config.k)
+        except ValueError as exc:
+            return values, failures + [(cells[row], str(exc)) for row in started]
+    for row, series in zip(started, windows):
         values[row] = float(np.mean(series))
-    return values
+    return values, failures
 
 
 def map_cell_value(config: ExperimentConfig, cell_index: int) -> float:
@@ -346,9 +338,12 @@ def map_cell_value(config: ExperimentConfig, cell_index: int) -> float:
     are independent: each draws from its own child stream keyed by
     cell_index, so evaluating any subset in any order (or in parallel)
     reproduces the full map's values.  This runs the full map's kernel on
-    a one-cell list; a cell failure raises its ValueError.
+    a one-cell list; a failed cell raises ValueError with its recorded reason.
     """
-    return float(_map_values(_resolved(config), [cell_index])[0])
+    values, failures = _map_values(_resolved(config), [cell_index])
+    if failures:
+        raise ValueError(failures[0][1])
+    return float(values[0])
 
 
 def equilibrium_map(config: ExperimentConfig) -> EquilibriumMap:
@@ -362,8 +357,7 @@ def equilibrium_map(config: ExperimentConfig) -> EquilibriumMap:
     config = _resolved(config)
     n_theta, n_phi = config.grid
     thetas, phis = grid_centers(n_theta, n_phi)
-    failures = []
-    values = _map_values(config, range(n_theta * n_phi), failures)
+    values, failures = _map_values(config, range(n_theta * n_phi))
     return EquilibriumMap(
         kind=config.kind, theta_centers=thetas, phi_centers=phis,
         values=values.reshape(n_theta, n_phi), window=config.window,
@@ -624,8 +618,7 @@ def _run_entropy_dynamics(config: ExperimentConfig) -> Dataset:
 
 def _run_mi_dynamics(config: ExperimentConfig) -> Dataset:
     start = _mi_start(config.center, config.spread1, config.j, config.count, config.seed)
-    mi = _mi_series([start], [0], KickParams(config.kappa), config.j, (0, config.steps),
-                    config.k)[0]
+    mi = _mi_series([start], KickParams(config.kappa), config.j, (0, config.steps), config.k)[0]
     rows = list(enumerate(mi.tolist()))
     meta = _meta(config, "kappa", "j", "count", "steps", "center", "k", "spread1",
                  spread2=1.0 / config.j)
@@ -651,7 +644,7 @@ def _run_teq_scaling(config: ExperimentConfig) -> Dataset:
     for index, j in enumerate(js):
         seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
         start = _mi_start(config.center, config.spread1, j, config.count, seed)
-        mi = _mi_series([start], [index], params, j, (0, config.steps), config.k)[0]
+        mi = _mi_series([start], params, j, (0, config.steps), config.k)[0]
         teq = estimate_teq(mi).teq
         if teq == 0:
             raise NotEquilibratedError(f"T_eq is 0 at j={j}: that series starts at its "

@@ -12,10 +12,10 @@ deterministic value-keyed jitter of order 1e-10 times the data range before
 any distances are computed.
 
 The neighbour search is an exact window search in numpy: each ensemble is
-sorted by its first coordinate, and each sample's k-th distance is taken
-over a window of sorted neighbours that widens until the gaps in that
-coordinate prove no sample outside it is closer.  It gives the bits of a
-k-d tree's max-norm query without one.
+sorted by its coordinate with more distinct values, and each sample's k-th
+distance is taken over a window of sorted neighbours that widens until the
+gaps in that coordinate prove no sample outside it is closer.  It gives
+the bits of a k-d tree's max-norm query without one.
 """
 
 from __future__ import annotations
@@ -128,20 +128,25 @@ def _joint_knn_radii(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """Chebyshev distance from each joint sample (a, b) to its k-th neighbour.
 
     a and b are (B, n): row i holds the n samples of ensemble i, and each
-    row is searched on its own.  Every row is sorted by a, and each point
-    takes its distances max(|da|, |db|) to the 2w + 1 sorted positions
-    around its own (a window clamped inside the row, so it holds the point
-    itself at distance 0).  The window's (k + 1)-th smallest distance is
-    exact when the window is the whole row, or when |da| to the first
-    sorted point outside it is at least that candidate on both sides: every
-    point further out is at least as far in a alone, because rounding is
-    monotone, and one that ties the candidate does not change it.  Points
-    that fail this check are searched again with w doubled.  Each pass
-    runs in chunks of at most _KNN_CHUNK window entries.  The distances are
-    the float operations of a k-d tree's max-norm query, so the radii have
-    its bits, and each row has the bits of a one-row call.
+    row is searched on its own.  A row whose b has more distinct values swaps
+    a and b, as max(|da|, |db|) allows: the gaps of a tied a are 0, so no
+    window short of the row would pass the check below.  Every row is sorted
+    by a, and each point takes its distances max(|da|, |db|) to the 2w + 1
+    sorted positions around its own (a window clamped inside the row, so it
+    holds the point itself at distance 0).  The window's (k + 1)-th smallest
+    distance is exact when the window is the whole row, or when |da| to the
+    first sorted point outside it is at least that candidate on both sides:
+    every point further out is at least as far in a alone, because rounding
+    is monotone, and one that ties the candidate does not change it.  Points
+    that fail this check are searched again with w doubled.  Each pass runs
+    in chunks of at most _KNN_CHUNK window entries.  The distances are the
+    float operations of a k-d tree's max-norm query, so the radii have its
+    bits, and each row has the bits of a one-row call.
     """
     rows, n = a.shape
+    distinct = [np.count_nonzero(np.diff(np.sort(x, axis=-1), axis=-1), axis=-1) for x in (a, b)]
+    swap = (distinct[1] > distinct[0])[:, np.newaxis]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
     order = np.argsort(a, axis=-1, kind="stable")
     sorted_a = np.take_along_axis(a, order, axis=-1).ravel()
     sorted_b = np.take_along_axis(b, order, axis=-1).ravel()

@@ -250,6 +250,21 @@ class TestEvolveEnsemble:
             np.testing.assert_array_equal(xs, expected[t])
         assert t == 2000
 
+    def test_reused_seed_sequence_repeats_the_pair(self):
+        # the two draws come from the children with spawn keys 0 and 1, not
+        # from SeedSequence.spawn, which advances the root's spawn counter;
+        # for a fresh root they are the children spawn(2) would give
+        dists = self.default_dists()
+        root = np.random.SeedSequence(5, spawn_key=(2,))
+        first = sample_pairs(*dists, 100, 8, root)
+        again = sample_pairs(*dists, 100, 8, root)
+        children = np.random.SeedSequence(5, spawn_key=(2,)).spawn(2)
+        spawned = [spherical_to_cartesian(sample_cap(dist, 8, child))
+                   for dist, child in zip(dists, children)]
+        for drawn, repeat, expected in zip(first, again, spawned, strict=True):
+            np.testing.assert_array_equal(drawn, repeat)
+            np.testing.assert_array_equal(drawn, expected)
+
     def test_stacked_ensembles_step_as_each_alone(self):
         params = KickParams(6.0)
         starts = [

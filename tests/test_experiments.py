@@ -1,6 +1,7 @@
 """Tests for equilibration analysis, maps, and the experiment runners."""
 
 import csv
+import functools
 import hashlib
 import json
 import re
@@ -9,6 +10,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kickedtop import (
     CapDistribution,
@@ -38,6 +41,8 @@ from kickedtop.experiments import (
     _WRITE_CHUNK_ROWS,
     EXPERIMENT_KINDS,
     _as_tuples,
+    _map_values,
+    _resolved,
     _thermo_series,
 )
 
@@ -120,6 +125,27 @@ class TestFitGrowthRate:
             fit_growth_rate(series, equilibrium=-1.0)
 
 
+# map configs with cells that fail: polar rows (thermo-map at j=1, mi-map
+# at j=100) and an MI refusal that hits every started cell (k=11 needs 13
+# samples per ensemble)
+SUBSET_CASES = {
+    "entropy-map": dict(kind="entropy-map", kappa=2.5, j=4, grid=(2, 3), window=(5, 15)),
+    "thermo-map polar": dict(kind="thermo-map", kappa=2.5, j=1, grid=(4, 2), count=20,
+                             window=(5, 15), seed=3),
+    "mi-map polar": dict(kind="mi-map", kappa=2.5, j=100, grid=(4, 2), count=20,
+                         window=(5, 15), seed=3),
+    "mi-map refused": dict(kind="mi-map", kappa=2.5, j=100, grid=(4, 2), count=12, k=11,
+                           window=(2, 4)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _full_map_pass(case):
+    """_map_values over every cell of SUBSET_CASES[case], in cell order."""
+    config = _resolved(ExperimentConfig(**SUBSET_CASES[case]))
+    return _map_values(config, range(config.grid[0] * config.grid[1]))
+
+
 class TestGridAndMaps:
     def test_grid_centers_formula(self):
         thetas, phis = grid_centers(2, 2)
@@ -159,6 +185,21 @@ class TestGridAndMaps:
             assert solo == full.values[cell // 2, cell % 2]
         assert len(reasons) == (4 if kind == "mi-map" else 0)
 
+    @pytest.mark.parametrize("case", sorted(SUBSET_CASES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_subset_of_cells_reproduces_the_full_pass(self, case, data):
+        # the map pass gives each cell the same value and failure whatever
+        # other cells share its call, and in whatever order: the contract
+        # that lets cells be split across calls or workers
+        config = _resolved(ExperimentConfig(**SUBSET_CASES[case]))
+        full_values, full_failures = _full_map_pass(case)
+        cells = data.draw(st.permutations(range(full_values.size)))
+        cells = cells[:data.draw(st.integers(0, len(cells)))]
+        values, failures = _map_values(config, cells)
+        assert values.tobytes() == full_values[cells].tobytes()
+        assert sorted(failures) == sorted(f for f in full_failures if f[0] in cells)
+
     @pytest.mark.parametrize("count, k, reason", [
         (5, 3, "count must be >= 8, got 5"),
         (12, 11, "need at least k + 2 = 13 samples, got 12"),
@@ -189,15 +230,14 @@ class TestGridAndMaps:
             for seed, theta in enumerate((0.9, 1.6, 2.3))
         ]
         starts[1] = 1.5 * starts[1]
-        failures = []
-        values = _thermo_series(starts, [4, 7, 9], params, (3, 8), failures)
+        values, failed = _thermo_series(starts, params, (3, 8))
         for row, vecs in enumerate(starts):
             for _ in range(3):
                 vecs = classical_step(vecs, params)
             if row == 1:
                 with pytest.raises(ValueError) as alone:
                     thermo_limit_entropy(vecs)
-                assert failures == [(7, str(alone.value))]
+                assert failed == [(1, str(alone.value))]
                 assert np.all(np.isnan(values[row]))
                 continue
             for t in range(6):

@@ -7,8 +7,9 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from kickedtop import digamma, ksg_mi
+from kickedtop import digamma, ksg_mi, mutual_info
 from kickedtop.mutual_info import _jitter, _joint_knn_radii, _psi_table, _standardise
 
 
@@ -137,6 +138,26 @@ class TestKnnSearch:
         for row in range(a.shape[0]):
             alone = _joint_knn_radii(a[row:row + 1], b[row:row + 1], k)
             assert alone.tobytes() == radii[row].tobytes()
+
+    def test_tied_first_coordinate_is_searched_along_the_other(self, monkeypatch):
+        # along a constant coordinate every sorted gap is 0, so a search
+        # along it would widen until each window spans the row; each pass
+        # makes one pair of window views
+        calls = []
+
+        def counting_view(*args, **kwargs):
+            calls.append(args)
+            return sliding_window_view(*args, **kwargs)
+
+        monkeypatch.setattr(mutual_info, "sliding_window_view", counting_view)
+        samples = gaussian_pairs(0.6, 5000, seed=21)
+        samples[:, 0] = 1.0
+        passes = {}
+        for name, data in (("tied first", samples), ("tied second", samples[:, ::-1])):
+            calls.clear()
+            ksg_mi(data, k=3)
+            passes[name] = len(calls) // 2
+        assert passes["tied first"] <= passes["tied second"], passes
 
     @pytest.mark.parametrize("constant", [False, True])
     def test_peak_memory_is_bounded_by_the_chunk(self, constant):

@@ -124,3 +124,17 @@ def test_version_is_declared_once():
         and [getattr(t, "id", None) for t in node.targets] == ["__version__"]
     ]
     assert literals == [kickedtop.__version__]
+
+
+def test_no_module_spawns_seed_sequences():
+    # SeedSequence.spawn advances the root's spawn counter, so a reused
+    # root would draw differently; child streams come from explicit
+    # (entropy, spawn_key) pairs only
+    spawns = [
+        f"{stem}:{node.lineno}"
+        for stem, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "spawn"
+    ]
+    assert spawns == []
