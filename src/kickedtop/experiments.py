@@ -43,6 +43,7 @@ from .mutual_info import ksg_mi
 from .quantum import (
     _BLOCH_NORM_SLACK,
     _bloch_norm_error,
+    _evolve_blochs,
     coherent_state,
     evolve_expectations,
     floquet_unitary,
@@ -261,16 +262,16 @@ def _thermo_series(starts, params, window):
 def _entropy_series(states, unitary, window):
     """Linear entropy of each coherent state's spin at steps window[0]..window[1].
 
-    Each state is evolved on its own, one matrix-vector product per step:
-    evolving them as the columns of one matrix rounds differently.
-    Returns a (len(states), window length) array.
+    All states step together through `_evolve_blochs`.  It applies the
+    unitary in row blocks of at least 2 rows, each one zgemv per state
+    whose output rows do not depend on the block's height, so every state
+    keeps the bits of evolving it alone; a zgemm over the states, or a
+    1-row block (zdotu), would round differently.  Returns a
+    (len(states), window length) array.
     """
     lo, hi = window
-    values = np.empty((len(states), hi - lo + 1))
-    for row, state in enumerate(states):
-        bloch = evolve_expectations(state, unitary, hi)
-        values[row] = np.maximum(0.5 * (1.0 - np.einsum("ij,ij->i", bloch, bloch)), 0.0)[lo:]
-    return values
+    bloch = _evolve_blochs([state.amplitudes for state in states], unitary, hi)
+    return np.maximum(0.5 * (1.0 - np.einsum("bij,bij->bi", bloch, bloch)), 0.0)[:, lo:]
 
 
 _MAP_KINDS = ("entropy-map", "thermo-map", "mi-map")

@@ -204,11 +204,15 @@ def floquet_unitary(j, kappa: float) -> np.ndarray:
     return kick[:, None] * _quarter_turn_y(two_j)
 
 
-def _bloch(psi: np.ndarray, m: np.ndarray, coeff: np.ndarray) -> tuple:
-    """j times the Bloch vector of amplitudes psi, as (<Jx>, <Jy>, <Jz>)."""
-    plus = np.sum(coeff * np.conj(psi[:-1]) * psi[1:])
-    z = np.sum(m * np.abs(psi) ** 2)
-    return plus.real, plus.imag, z
+def _blochs(psi: np.ndarray, m: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """j times the Bloch vector of each row of psi (B, dim), as (B, 3).
+
+    Every sum runs along one row of a C-ordered array, so each row gets
+    the bits of the same sums over that state alone.
+    """
+    plus = np.sum(coeff * np.conj(psi[:, :-1]) * psi[:, 1:], axis=1)
+    z = np.sum(m * np.abs(psi) ** 2, axis=1)
+    return np.stack([plus.real, plus.imag, z], axis=1)
 
 
 def bloch_vector(state: SpinState) -> np.ndarray:
@@ -218,29 +222,80 @@ def bloch_vector(state: SpinState) -> np.ndarray:
     <J+> = sum_i c_i conj(psi_{i-1}) psi_i, <Jx> = Re, <Jy> = Im.
     """
     m, coeff = _ladder(_two_j(state.j))
-    return np.array(_bloch(state.amplitudes, m, coeff)) / state.j
+    return _blochs(state.amplitudes[np.newaxis], m, coeff)[0] / state.j
+
+
+# bytes of unitary rows in one block: about the L2 cache of one core, so
+# a block stays cached while every state of a group passes through it
+_BLOCK_BYTES = 2 * 2**20
+# bytes of amplitudes stepped together: a group's arrays are a few of these
+_GROUP_BYTES = 2**20
+
+
+def _row_blocks(dim: int) -> list:
+    """Bounds of even row blocks of a (dim, dim) complex128 matrix.
+
+    Each block holds about _BLOCK_BYTES and at least 2 rows: numpy sends a
+    1-row product to zdotu instead of zgemv, which rounds differently.
+    """
+    count = max(min(-(-dim * dim * 16 // _BLOCK_BYTES), dim // 2), 1)
+    return [dim * i // count for i in range(count + 1)]
+
+
+def _evolve_blochs(amplitudes, unitary: np.ndarray, steps: int) -> np.ndarray:
+    """Bloch vector of each state after 0..steps periods; shape (B, steps + 1, 3).
+
+    `amplitudes` holds B state vectors of one spin (a list of them or a
+    (B, dim) array).  States step a group at a time, so memory stays a
+    few _GROUP_BYTES however many there are.  Each period applies the
+    unitary one row block at a time to the whole group: numpy runs every
+    (rows, dim) @ (dim, 1) item through the same OpenBLAS zgemv as
+    `unitary @ psi`, whose output rows are dot products that do not
+    depend on how many rows the call holds, so every state gets the bits
+    of stepping it alone, while each block is read from memory once per
+    group rather than once per state.  Evolving the states as the columns
+    of one zgemm would round differently.
+
+    Raises NormDriftError if any state's norm leaves 1 by more than 1e-8,
+    which would indicate a non-unitary propagator.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    out = np.empty((len(amplitudes), steps + 1, 3))
+    dim = len(unitary)
+    m, coeff = _ladder(dim - 1)
+    bounds = _row_blocks(dim)
+    blocks = [(unitary[lo:hi], slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    group = max(_GROUP_BYTES // (16 * dim), 1)
+    for first in range(0, len(amplitudes), group):
+        psi = np.stack(amplitudes[first:first + group])
+        new = np.empty_like(psi)
+        rows = out[first:first + group]
+        rows[:, 0] = _blochs(psi, m, coeff)
+        for i in range(1, steps + 1):
+            for block, cols in blocks:
+                np.matmul(block, psi[:, :, np.newaxis], out=new[:, cols, np.newaxis])
+            psi, new = new, psi
+            norms = np.linalg.norm(psi, axis=1)
+            drifted = ~(np.abs(norms - 1.0) <= _NORM_DRIFT_TOL)  # a NaN norm fails too
+            if drifted.any():
+                raise NormDriftError(f"norm drifted to {float(norms[drifted][0])} at step {i}")
+            rows[:, i] = _blochs(psi, m, coeff)
+    out /= (dim - 1) / 2.0
+    return out
 
 
 def evolve_expectations(state: SpinState, unitary: np.ndarray, steps: int) -> np.ndarray:
     """Bloch vector after 0..steps periods; shape (steps + 1, 3).
 
-    Raises NormDriftError if the state norm leaves 1 by more than 1e-8,
-    which would indicate a non-unitary propagator.
+    The one-state case of the stacked kernel `_evolve_blochs`: one zgemv
+    per row block and step, whose rows have the bits of `unitary @ psi`
+    (a 1-row block would go to zdotu, a stack of states through one
+    zgemm, and both round differently).  Raises NormDriftError if the
+    state norm leaves 1 by more than 1e-8, which would indicate a
+    non-unitary propagator.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    m, coeff = _ladder(_two_j(state.j))
-    psi = state.amplitudes
-    out = np.empty((steps + 1, 3))
-    out[0] = _bloch(psi, m, coeff)
-    for i in range(1, steps + 1):
-        psi = unitary @ psi
-        norm = np.linalg.norm(psi)
-        if not abs(norm - 1.0) <= _NORM_DRIFT_TOL:  # a NaN norm fails too
-            raise NormDriftError(f"norm drifted to {float(norm)} at step {i}")
-        out[i] = _bloch(psi, m, coeff)
-    out /= state.j
-    return out
+    return _evolve_blochs([state.amplitudes], unitary, steps)[0]
 
 
 def linear_entropy(bloch: np.ndarray) -> float:

@@ -216,6 +216,21 @@ class TestFailurePaths:
         assert lines[0].startswith("error:")
         assert "Traceback" not in captured.err
 
+    def test_entropy_map_with_a_drifting_unitary_is_one_line_error(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # every cell steps through one stacked kernel, whose norm check
+        # still stops the run
+        monkeypatch.setattr("kickedtop.experiments.floquet_unitary",
+                            lambda j, kappa: 1.001 * floquet_unitary(j, kappa))
+        code = main(["entropy-map", "--kappa", "2.5", "--j", "2", "--grid", "2", "2",
+                     "--window", "2", "4", "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: norm drifted to 1.00"), lines
+        assert lines[0].endswith(" at step 1"), lines
+        assert not (tmp_path / "run").exists()
+
     def test_teq_scaling_with_a_zero_teq_is_one_line_error(self, tmp_path, capsys):
         # the j=25 series starts at its equilibrium level, so log(T_eq) is
         # undefined; this used to warn and write NaN slopes into the meta

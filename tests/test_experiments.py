@@ -300,8 +300,9 @@ class TestGridAndMaps:
                                             window=(5, 15)), 9)
 
     @pytest.mark.parametrize("kind, j, grid, calls", [
+        # every started cell steps through one stacked kernel call
         ("entropy-map", 4, (2, 2), {"coherent_state": 4, "floquet_unitary": 1,
-                                    "evolve_expectations": 4}),
+                                    "_evolve_blochs": 1}),
         # j=1 gives a patch of width 1: the rows at theta=0.39 and 2.75 are polar
         ("thermo-map", 1, (4, 2), {"bipartite.sample_cap": 4}),
         # rows 0 and 3 are polar; a started cell draws two caps; one ksg_mi
@@ -319,7 +320,7 @@ class TestGridAndMaps:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("coherent_state", "floquet_unitary", "evolve_expectations", "ksg_mi"):
+        for name in ("coherent_state", "floquet_unitary", "_evolve_blochs", "ksg_mi"):
             monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
         monkeypatch.setattr(bipartite, "sample_cap",
                             counted("bipartite.sample_cap", bipartite.sample_cap))

@@ -1,6 +1,10 @@
 """Tests for the spin-j Floquet map, coherent states, and entropy measures."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from kickedtop import (
 from kickedtop import quantum
 from kickedtop.bipartite import CapDistribution, sample_cap
 from kickedtop.quantum import (
+    _evolve_blochs,
     _ladder,
     _log_factorials,
     _log_gamma,
@@ -289,6 +294,133 @@ class TestEvolveExpectations:
         bloch = evolve_expectations(coherent_state(100, *center), floquet_unitary(100, 0.5), 5)
         classical = evolve_trajectory(spherical_to_cartesian(center), KickParams(0.5), 5)
         assert np.max(np.abs(bloch - classical)) < 0.05
+
+
+def per_state_oracle(psi, unitary, steps):
+    """Bloch vectors of one state stepped alone: `unitary @ psi`, 1-D sums."""
+    m, coeff = _ladder(len(psi) - 1)
+    out = np.empty((steps + 1, 3))
+    for i in range(steps + 1):
+        if i:
+            psi = unitary @ psi
+        plus = np.sum(coeff * np.conj(psi[:-1]) * psi[1:])
+        out[i] = plus.real, plus.imag, np.sum(m * np.abs(psi) ** 2)
+    out /= (len(psi) - 1) / 2.0
+    return out
+
+
+def random_states(dim, count, seed):
+    """`count` random unit vectors of length dim, as a (count, dim) array."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def group_size(dim):
+    """States per group of the stacked kernel at this dimension."""
+    return quantum._GROUP_BYTES // (16 * dim)
+
+
+def assert_matches_oracle(two_j, kappa, count, seed, steps=3):
+    unitary = floquet_unitary(two_j / 2, kappa)
+    states = random_states(two_j + 1, count, seed)
+    got = _evolve_blochs(list(states), unitary, steps)
+    assert got.shape == (count, steps + 1, 3)
+    for row, psi in enumerate(states):
+        np.testing.assert_array_equal(got[row], per_state_oracle(psi, unitary, steps),
+                                      err_msg=f"2j={two_j}, kappa={kappa}, state {row}")
+
+
+# dims 362 and 363 sit on either side of the first split into two row
+# blocks; 801 (the benchmark's map) and 1201 rows are each one row above a
+# multiple of their block height (5 x 160, 12 x 100)
+BLOCKED_TWO_J = (361, 362, 800, 1200)
+KAPPAS = (0.0, 2.5, 6.0)
+
+
+class TestStackedKernel:
+    # _evolve_blochs must give every state the bits of stepping it alone,
+    # as per_state_oracle does with `unitary @ psi` and 1-D sums
+
+    @settings(max_examples=30, deadline=None)
+    @given(two_j=st.integers(1, 129), kappa=st.sampled_from(KAPPAS), data=st.data())
+    def test_unblocked_spins_match_the_per_state_oracle(self, two_j, kappa, data):
+        count = data.draw(st.integers(1, group_size(two_j + 1) + 2), label="count")
+        assert_matches_oracle(two_j, kappa, count, data.draw(st.integers(0, 2**32 - 1)))
+
+    @pytest.mark.parametrize("two_j", BLOCKED_TWO_J)
+    @settings(max_examples=4, deadline=None)
+    @given(kappa=st.sampled_from(KAPPAS), data=st.data())
+    def test_row_blocked_spins_match_the_per_state_oracle(self, two_j, kappa, data):
+        count = data.draw(st.integers(1, group_size(two_j + 1) + 2), label="count")
+        assert_matches_oracle(two_j, kappa, count, data.draw(st.integers(0, 2**32 - 1)))
+
+    def test_oracle_holds_with_one_blas_thread(self):
+        # the default run uses OpenBLAS's own thread count; a BLAS whose
+        # zgemv rows depend on the row count or the thread split fails here
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{Path(__file__).resolve()}::TestStackedKernel", "-k", "per_state_oracle"],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, cwd=root,
+            capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stdout[-3000:]
+        assert " passed" in done.stdout and " failed" not in done.stdout, done.stdout[-3000:]
+
+    def test_no_row_block_has_a_single_row(self):
+        # numpy sends a 1-row product to zdotu, which rounds differently
+        # from the zgemv of `unitary @ psi`
+        for dim in range(2, 3000):
+            bounds = quantum._row_blocks(dim)
+            assert bounds[0] == 0 and bounds[-1] == dim
+            assert min(np.diff(bounds)) >= 2, dim
+
+    def test_zero_and_negative_steps(self):
+        unitary = floquet_unitary(3, 2.5)
+        states = random_states(7, 3, seed=1)
+        np.testing.assert_array_equal(_evolve_blochs(states, unitary, 0)[:, 0],
+                                      [per_state_oracle(psi, unitary, 0)[0] for psi in states])
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            _evolve_blochs(states, unitary, -1)
+
+    def test_peak_memory_is_bounded_by_the_group(self):
+        # twelve groups of states at j=400: stepping them a group at a time
+        # keeps the peak near one group's arrays (the state, the next state
+        # and the Bloch temporaries; 4.2 MiB measured), below even one
+        # (B, dim) array of the whole stack (11.9 MiB), which an ungrouped
+        # kernel would hold twice over
+        dim = 801
+        count = 12 * group_size(dim)
+        states = list(random_states(dim, count, seed=5))
+        unitary = floquet_unitary(400, 2.5)
+        _evolve_blochs(states[:2], unitary, 1)  # fills the ladder cache
+        tracemalloc.start()
+        try:
+            _evolve_blochs(states, unitary, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * quantum._GROUP_BYTES, peak
+        assert peak < count * dim * 16 / 2, peak
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda psi: psi * np.nan, r"norm drifted to nan at step 1$"),
+        (lambda psi: psi * 1.001, r"norm drifted to 1\.00\d* at step 1$"),
+    ])
+    def test_one_bad_state_in_a_later_group_stops_the_stack(self, monkeypatch, bad, message):
+        dim = 11
+        monkeypatch.setattr(quantum, "_GROUP_BYTES", 2 * 16 * dim)  # two states per group
+        states = list(random_states(dim, 5, seed=2))
+        states[3] = bad(states[3])
+        with pytest.raises(NormDriftError, match=message):
+            _evolve_blochs(states, floquet_unitary(5, 2.5), 3)
+
+    def test_drift_names_the_step_it_crosses_the_tolerance(self):
+        # |psi| grows by 3e-9 per step: 9e-9 after three steps, 1.2e-8 after four
+        states = random_states(11, 4, seed=3)
+        with pytest.raises(NormDriftError, match=r"at step 4$"):
+            _evolve_blochs(states, (1 + 3e-9) * floquet_unitary(5, 2.5), 10)
 
 
 class TestEntropies:
