@@ -22,11 +22,9 @@ from .classical import KickParams, SphericalPoint, kick_rotation, spherical_to_c
 
 __all__ = [
     "CapDistribution",
-    "SampleSeries",
     "sample_cap",
     "sample_pairs",
     "pair_x_steps",
-    "evolve_ensemble",
 ]
 
 # smallest ensemble for which downstream k-NN MI (k=3) is defined with margin
@@ -61,14 +59,14 @@ class CapDistribution:
             raise ValueError(f"solid_angle must be in (0, 4*pi], got {float(self.solid_angle)}")
         object.__setattr__(self, "center", SphericalPoint(float(theta0), float(phi0)))
         object.__setattr__(self, "solid_angle", float(self.solid_angle))
-        half = 0.5 * self.half_width
+        half = 0.5 * self.width
         if theta0 - half < 0.0 or theta0 + half > np.pi:
             raise ValueError(
                 f"patch of width {2 * half:.4f} around theta={theta0:.4f} overlaps a pole"
             )
 
     @property
-    def half_width(self) -> float:
+    def width(self) -> float:
         """Angular side length of the square patch."""
         # Python float division: a subnormal sin(theta) gives an infinite
         # width, which overlaps the pole, instead of an overflow warning
@@ -76,7 +74,7 @@ class CapDistribution:
 
     def bounds(self):
         """((theta_lo, theta_hi), (phi_lo, phi_hi)) of the rectangle."""
-        half = 0.5 * self.half_width
+        half = 0.5 * self.width
         t0, p0 = self.center
         return (t0 - half, t0 + half), (p0 - half, p0 + half)
 
@@ -137,6 +135,8 @@ def pair_x_steps(n1: np.ndarray, n2: np.ndarray, params: KickParams, j, steps: i
     parts alone.  Only the current step is held.
     """
     j = _unit_j(j)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     weights = np.array([[0.5 / j], [(j - 0.5) / j]])
     kappa = params.kappa
     pair = np.stack([n1, n2])
@@ -146,60 +146,3 @@ def pair_x_steps(n1: np.ndarray, n2: np.ndarray, params: KickParams, j, steps: i
         pair = kick_rotation(pair, kappa * (xs[0] + xs[1]))
         xs = weights * pair[..., 0]
         yield xs
-
-
-@dataclass(frozen=True)
-class SampleSeries:
-    """Per-step normalised x components of an evolved ensemble.
-
-    x1 and x2 have shape (steps + 1, count); row t holds the ensemble after
-    t periods.  Rows of x1/x2 at fixed t are the paired samples handed to
-    the mutual-information estimator.
-    """
-
-    x1: np.ndarray
-    x2: np.ndarray
-    j: float
-    kappa: float
-
-    def __post_init__(self):
-        x1 = np.asarray(self.x1, dtype=np.float64)
-        x2 = np.asarray(self.x2, dtype=np.float64)
-        if x1.shape != x2.shape or x1.ndim != 2:
-            raise ValueError(f"x1/x2 must share an (steps+1, count) shape, got {x1.shape}, {x2.shape}")
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
-
-    @property
-    def steps(self) -> int:
-        return self.x1.shape[0] - 1
-
-    @property
-    def count(self) -> int:
-        return self.x1.shape[1]
-
-
-def evolve_ensemble(
-    dist1: CapDistribution,
-    dist2: CapDistribution,
-    params: KickParams,
-    j,
-    count: int,
-    steps: int,
-    seed,
-) -> SampleSeries:
-    """Evolve `count` paired initial conditions for `steps` shared-kick periods.
-
-    Subsystem i starts from an area-uniform draw of dist_i; the two draws
-    use independent child streams of `seed`.  Trajectories never interact,
-    so the series is reproducible trajectory by trajectory.
-    """
-    n1, n2 = sample_pairs(dist1, dist2, j, count, seed)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    x1 = np.empty((steps + 1, count))
-    x2 = np.empty((steps + 1, count))
-    for t, (a, b) in enumerate(pair_x_steps(n1, n2, params, j, steps)):
-        x1[t] = a
-        x2[t] = b
-    return SampleSeries(x1=x1, x2=x2, j=_unit_j(j), kappa=params.kappa)

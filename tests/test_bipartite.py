@@ -12,7 +12,6 @@ from kickedtop import (
     CapDistribution,
     KickParams,
     SphericalPoint,
-    evolve_ensemble,
     evolve_trajectory,
     pair_x_steps,
     sample_cap,
@@ -96,15 +95,15 @@ class TestCapDistribution:
     def test_patch_width_formula(self):
         dist = CapDistribution(center=SphericalPoint(3 * np.pi / 4, 1.0), solid_angle=0.01)
         expected = np.sqrt(0.01 / np.sin(3 * np.pi / 4))
-        assert abs(dist.half_width - expected) < 1e-12
-        assert abs(dist.half_width - 0.1189) < 1e-4
+        assert abs(dist.width - expected) < 1e-12
+        assert abs(dist.width - 0.1189) < 1e-4
 
     def test_bounds_are_centred(self):
         dist = CapDistribution(center=SphericalPoint(1.2, 2.0), solid_angle=0.25)
         (t_lo, t_hi), (p_lo, p_hi) = dist.bounds()
         assert abs(0.5 * (t_lo + t_hi) - 1.2) < 1e-12
         assert abs(0.5 * (p_lo + p_hi) - 2.0) < 1e-12
-        assert abs((t_hi - t_lo) - dist.half_width) < 1e-12
+        assert abs((t_hi - t_lo) - dist.width) < 1e-12
 
     def test_rejects_pole_centre(self):
         with pytest.raises(ValueError):
@@ -207,36 +206,35 @@ class TestEvolveEnsemble:
             CapDistribution(center=center, solid_angle=1.0 / j),
         )
 
+    def series(self, kappa, count, steps, seed, j=100):
+        """(steps + 1, 2, count) x components of one sampled ensemble."""
+        n1, n2 = sample_pairs(*self.default_dists(j=j), j, count, seed)
+        return np.array(list(pair_x_steps(n1, n2, KickParams(kappa), j, steps)))
+
     def test_zero_steps_keeps_initial_samples_only(self):
-        d1, d2 = self.default_dists()
-        series = evolve_ensemble(d1, d2, KickParams(2.5), 100, 16, 0, seed=0)
-        assert series.x1.shape == (1, 16)
-        assert series.steps == 0
-        assert series.count == 16
+        xs = self.series(2.5, 16, 0, seed=0)
+        assert xs.shape == (1, 2, 16)
+        n1, n2 = sample_pairs(*self.default_dists(), 100, 16, seed=0)
+        np.testing.assert_array_equal(xs[0], [0.5 / 100 * n1[:, 0], 99.5 / 100 * n2[:, 0]])
 
     def test_initial_product_form_is_uncorrelated(self):
-        d1, d2 = self.default_dists()
-        series = evolve_ensemble(d1, d2, KickParams(2.5), 100, 1000, 0, seed=0)
-        r = np.corrcoef(series.x1[0], series.x2[0])[0, 1]
+        (x1, x2), = self.series(2.5, 1000, 0, seed=0)
+        r = np.corrcoef(x1, x2)[0, 1]
         assert abs(r) < 0.1
 
     def test_kappa_zero_series_is_period_four(self):
-        d1, d2 = self.default_dists()
-        series = evolve_ensemble(d1, d2, KickParams(0.0), 100, 32, 8, seed=1)
-        np.testing.assert_array_equal(series.x1[0], series.x1[4])
-        np.testing.assert_array_equal(series.x2[3], series.x2[7])
+        xs = self.series(0.0, 32, 8, seed=1)
+        np.testing.assert_array_equal(xs[0, 0], xs[4, 0])
+        np.testing.assert_array_equal(xs[3, 1], xs[7, 1])
 
     def test_x_magnitude_bounds(self):
-        d1, d2 = self.default_dists()
-        series = evolve_ensemble(d1, d2, KickParams(6.0), 100, 64, 50, seed=2)
-        assert np.max(np.abs(series.x1)) <= 0.5 / 100 + 1e-15
-        assert np.max(np.abs(series.x2)) <= 99.5 / 100 + 1e-15
+        xs = self.series(6.0, 64, 50, seed=2)
+        assert np.max(np.abs(xs[:, 0])) <= 0.5 / 100 + 1e-15
+        assert np.max(np.abs(xs[:, 1])) <= 99.5 / 100 + 1e-15
 
     def test_deterministic(self):
-        d1, d2 = self.default_dists()
-        a = evolve_ensemble(d1, d2, KickParams(2.5), 100, 16, 5, seed=9)
-        b = evolve_ensemble(d1, d2, KickParams(2.5), 100, 16, 5, seed=9)
-        assert np.array_equal(a.x1, b.x1) and np.array_equal(a.x2, b.x2)
+        first, again = (self.series(2.5, 16, 5, seed=9) for _ in range(2))
+        np.testing.assert_array_equal(first, again)
 
     @pytest.mark.parametrize("j, kappa", [(1, 0.0), (1.5, 2.5), (100, 6.0)])
     def test_matches_stepwise_bipartite_map(self, j, kappa):
@@ -280,11 +278,11 @@ class TestEvolveEnsemble:
                 np.testing.assert_array_equal(x2[12 * r : 12 * (r + 1)], y2)
 
     def test_rejects_small_ensemble(self):
-        d1, d2 = self.default_dists()
-        with pytest.raises(ValueError):
-            evolve_ensemble(d1, d2, KickParams(2.5), 100, 4, 5, seed=0)
+        with pytest.raises(ValueError, match="count must be >= 8"):
+            sample_pairs(*self.default_dists(), 100, 4, seed=0)
 
     def test_rejects_negative_steps(self):
-        d1, d2 = self.default_dists()
-        with pytest.raises(ValueError):
-            evolve_ensemble(d1, d2, KickParams(2.5), 100, 16, -1, seed=0)
+        n1, n2 = sample_pairs(*self.default_dists(), 100, 16, seed=0)
+        steps = pair_x_steps(n1, n2, KickParams(2.5), 100, -1)
+        with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
+            next(steps)

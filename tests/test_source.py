@@ -138,3 +138,20 @@ def test_no_module_spawns_seed_sequences():
         and node.func.attr == "spawn"
     ]
     assert spawns == []
+
+
+def test_tracer_only_alias_is_never_read():
+    # experiments.evolve_ensemble exists only for perfbench's tracer to patch;
+    # a read anywhere would route a runner's calls through that alias
+    binds, reads = [], []
+    for stem, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "evolve_ensemble":
+                (reads if isinstance(node.ctx, ast.Load) else binds).append(stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "evolve_ensemble":
+                reads.append(stem)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                reads.extend(stem for alias in node.names
+                             if "evolve_ensemble" in (alias.name, alias.asname))
+    assert binds == ["experiments"]
+    assert reads == []
