@@ -11,12 +11,11 @@ a one-line "error:" on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .classical import KickedTopError
-from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
+from .experiments import _DEFAULTS, EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
 __all__ = ["main"]
 
@@ -26,33 +25,30 @@ __all__ = ["main"]
 _REPORTED_ERRORS = (ValueError, OSError, MemoryError, KickedTopError)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # main reports a malformed command line like any other bad input
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kickedtop",
         description="Kicked-top experiments: portraits, Lyapunov exponents, "
         "entropy and mutual-information dynamics and maps.",
     )
     sub = parser.add_subparsers(dest="kind", required=True, metavar="KIND")
     for kind in sorted(EXPERIMENT_KINDS):
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
+        # no abbreviations: --k would otherwise stand for --kappa where no --k exists
+        p = sub.add_parser(kind, help=f"run the {kind} experiment", allow_abbrev=False)
         p.add_argument("--config", help="JSON file with ExperimentConfig fields")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--kappa", type=float, help="kick strength")
-        p.add_argument("--j", type=float, help="spin magnitude")
-        p.add_argument("--j-list", type=float, nargs="+", help="spin magnitudes (teq-scaling)")
-        p.add_argument("--center", type=float, nargs=2, metavar=("THETA", "PHI"),
-                       help="initial/centre point on the sphere")
-        p.add_argument("--grid", type=int, nargs=2, metavar=("NTHETA", "NPHI"),
-                       help="grid resolution for portraits and maps")
-        p.add_argument("--count", type=int, help="ensemble size / sample count")
-        p.add_argument("--steps", type=int, help="number of map periods")
-        p.add_argument("--k", type=int, help="nearest-neighbour order for MI (default 3)")
-        p.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"),
-                       help="averaging window in steps")
-        p.add_argument("--n-blocks", type=int, help="Benettin blocks (lyapunov)")
-        p.add_argument("--steps-per-block", type=int, help="steps per Benettin block")
-        p.add_argument("--spread1", type=float, help="subsystem-1 patch solid angle")
-        p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
+        for name in _DEFAULTS[kind]:
+            spec = ExperimentConfig.__dataclass_fields__[name].metadata
+            if spec["arity"] != "pairs":  # initials (pairs) is set only from a config file
+                p.add_argument("--" + name.replace("_", "-"), type=spec["type"],
+                               nargs={"pair": 2, "list": "+"}.get(spec["arity"]),
+                               help=spec["help"])
     return parser
 
 
@@ -67,10 +63,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if kind != args.kind:
             raise ValueError(f"config file kind {kind!r} does not match the subcommand {args.kind!r}")
         settings.update(loaded)
-    for field in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, field.name, None)
-        if field.name != "kind" and value is not None:
-            settings[field.name] = value
+    settings.update((name, value) for name, value in vars(args).items()
+                    if name in _DEFAULTS[args.kind] and value is not None)
     unknown = set(settings) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -98,14 +92,16 @@ def _summary_line(dataset) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _config_from_args(args)
         dataset = run_experiment(config)
         csv_path, meta_path = dataset.write(args.out)
     except _REPORTED_ERRORS as exc:
-        # Python's own MemoryError carries no message
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        # Python's own MemoryError carries no message; argparse echoes
+        # arguments as typed, so a line break in one is escaped
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"error: {message or type(exc).__name__}", file=sys.stderr)
         return 1
     print(_summary_line(dataset))
     print(f"wrote {csv_path} and {meta_path}")

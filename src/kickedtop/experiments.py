@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -276,8 +276,8 @@ def _entropy_series(states, unitary, window):
 _MAP_KINDS = ("entropy-map", "thermo-map", "mi-map")
 
 
-def _map_values(config: ExperimentConfig, cells):
-    """Values of the listed grid cells of one map, and (cell, reason) failures.
+def _map_values(config: ExperimentConfig, cells=None):
+    """Values of the listed grid cells (default all) of one map, and (cell, reason) failures.
 
     `config` must be resolved (see _resolved), so its grid and window are
     set and checked.  Every cell gets its own start: a coherent state, or an
@@ -293,6 +293,7 @@ def _map_values(config: ExperimentConfig, cells):
         raise ValueError(f"kind must be one of {_MAP_KINDS}, got {kind!r}")
     n_theta, n_phi = config.grid
     thetas, phis = grid_centers(n_theta, n_phi)
+    cells = range(n_theta * n_phi) if cells is None else cells
     started, starts, failures = [], [], []
     for row, cell in enumerate(cells):
         if not 0 <= cell < n_theta * n_phi:
@@ -355,9 +356,9 @@ def equilibrium_map(config: ExperimentConfig) -> EquilibriumMap:
     is not a map kind raises.
     """
     config = _resolved(config)
+    values, failures = _map_values(config)
     n_theta, n_phi = config.grid
     thetas, phis = grid_centers(n_theta, n_phi)
-    values, failures = _map_values(config, range(n_theta * n_phi))
     return EquilibriumMap(
         kind=config.kind, theta_centers=thetas, phi_centers=phis,
         values=values.reshape(n_theta, n_phi), window=config.window,
@@ -369,76 +370,60 @@ def equilibrium_map(config: ExperimentConfig) -> EquilibriumMap:
 # configuration and dispatch
 
 
+def _spec(element: type, arity: str, help: str, default=None, low=None):
+    """A config field: default, element type, arity, least value and flag help (see _checked)."""
+    return field(default=default, metadata=dict(type=element, arity=arity, low=low, help=help))
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
+    A field its kind does not take (see _DEFAULTS) must keep its default.
     run_experiment resolves unset (None) fields to their kind's _DEFAULTS
     before the runner sees them; the metadata records the resolved values.
     """
 
     kind: str
-    kappa: float | None = None
-    j: float | None = None
-    j_list: tuple | None = None
-    center: tuple = DEFAULT_CENTER
-    initials: tuple | None = None
-    grid: tuple | None = None
-    count: int | None = None
-    steps: int | None = None
-    k: int = 3
-    window: tuple | None = None
-    n_blocks: int | None = None
-    steps_per_block: int | None = None
-    spread1: float = SPREAD_SINGLE_SPIN
-    seed: int = 0
+    kappa: float | None = _spec(float, "scalar", "kick strength")
+    j: float | None = _spec(float, "scalar", "spin magnitude")
+    j_list: tuple | None = _spec(float, "list", "spin magnitudes")
+    center: tuple = _spec(float, "pair", "initial/centre point (theta, phi)", DEFAULT_CENTER)
+    initials: tuple | None = _spec(float, "pairs", "initial points (theta, phi)")
+    grid: tuple | None = _spec(int, "pair", "grid resolution (n_theta, n_phi)")
+    count: int | None = _spec(int, "scalar", "ensemble size / sample count", low=1)
+    steps: int | None = _spec(int, "scalar", "number of map periods", low=1)
+    k: int = _spec(int, "scalar", "nearest-neighbour order for MI", 3, low=1)
+    window: tuple | None = _spec(int, "pair", "averaging window (lo, hi) in steps")
+    n_blocks: int | None = _spec(int, "scalar", "Benettin blocks", low=1)
+    steps_per_block: int | None = _spec(int, "scalar", "steps per Benettin block", low=1)
+    spread1: float = _spec(float, "scalar", "subsystem-1 patch solid angle", SPREAD_SINGLE_SPIN)
+    seed: int = _spec(int, "scalar", "base RNG seed", 0, low=0)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(
-                f"unknown kind {self.kind!r}; choose from {sorted(EXPERIMENT_KINDS)}"
-            )
-        for name in ("center", "k", "spread1", "seed"):
-            if getattr(self, name) is None:  # fields with a set default; a JSON null reaches them
-                raise ValueError(f"{name} must not be null")
-        for name in ("kappa", "j", "spread1"):
-            value = getattr(self, name)
-            if value is not None and not _is_real(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("count", "steps", "k", "n_blocks", "steps_per_block", "seed"):
-            value = getattr(self, name)
-            if value is not None and not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name, check in (("center", _is_real), ("grid", _is_int), ("window", _is_int)):
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, _pair(name, value, check))
-        if self.j_list is not None:
-            if not isinstance(self.j_list, (list, tuple)) or not self.j_list or not all(
-                _is_real(j) for j in self.j_list
-            ):
-                raise ValueError(f"j_list must be a non-empty list of finite numbers, got {self.j_list!r}")
-            self.j_list = tuple(self.j_list)
-        if self.initials is not None:
-            if not isinstance(self.initials, (list, tuple)):
-                raise ValueError(f"initials must be a list of pairs, got {self.initials!r}")
-            self.initials = tuple(_pair("initials", point, _is_real) for point in self.initials)
+            raise ValueError(f"unknown kind {self.kind!r}; choose from {sorted(EXPERIMENT_KINDS)}")
+        for spec in fields(self)[1:]:  # every field but kind
+            value = getattr(self, spec.name)
+            if value is None:
+                if spec.default is not None:  # a JSON null reaches a field with a set default
+                    raise ValueError(f"{spec.name} must not be null")
+                continue
+            value = _checked(spec.name, value, spec.metadata["type"], spec.metadata["arity"])
+            setattr(self, spec.name, value)
+            if spec.name not in _DEFAULTS[self.kind] and value != spec.default:
+                raise ValueError(f"{self.kind} does not take {spec.name}")
+            if spec.metadata["low"] is not None and value < spec.metadata["low"]:
+                raise ValueError(f"{spec.name} must be >= {spec.metadata['low']}, got {value}")
+        if self.grid is not None and self.initials is not None:
+            raise ValueError(f"{self.kind} takes grid or initials, not both")
         if self.kappa is not None and self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {float(self.kappa)}")
         for j in (self.j,) + (self.j_list or ()):
             if j is not None and j <= 0:
                 raise ValueError(f"j must be positive, got {float(j)}")
-        theta, phi = self.center
-        if not 0.0 <= float(theta) <= np.pi:
-            raise ValueError(f"center theta must be in [0, pi], got {float(theta)}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("count", "steps", "n_blocks", "steps_per_block"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not 0.0 <= float(self.center[0]) <= np.pi:
+            raise ValueError(f"center theta must be in [0, pi], got {float(self.center[0])}")
         if self.window is not None:
             lo, hi = self.window
             if not 0 <= lo < hi:
@@ -459,12 +444,28 @@ def _is_real(value) -> bool:
             and math.isfinite(value))
 
 
-def _pair(name: str, value, check) -> tuple:
-    """`value` as a tuple of two items passing `check`; ValueError otherwise."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(check, value)):
-        what = "integers" if check is _is_int else "finite numbers"
-        raise ValueError(f"{name} must be a pair of {what}, got {value!r}")
-    return tuple(value)
+def _checked(name: str, value, element: type, arity: str):
+    """`value`, lists as tuples, if it has the field's element type and arity; ValueError otherwise.
+
+    element is int or float (finite); arity is "scalar", "pair", "list" or
+    "pairs", a list of pairs (which only a config file sets).
+    """
+    check, one, many = ((_is_int, "an integer", "integers") if element is int
+                        else (_is_real, "a finite number", "finite numbers"))
+    is_list = isinstance(value, (list, tuple))
+    if arity == "scalar":
+        ok, want = check(value), one
+    elif arity == "pair":
+        ok, want = is_list and len(value) == 2 and all(map(check, value)), f"a pair of {many}"
+    elif arity == "list":
+        ok, want = is_list and len(value) > 0 and all(map(check, value)), f"a non-empty list of {many}"
+    elif is_list:  # a list of pairs
+        return tuple(_checked(name, point, element, "pair") for point in value)
+    else:
+        ok, want = False, "a list of pairs"
+    if not ok:
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    return tuple(value) if is_list else value
 
 
 # rows rendered per write call: for a portrait, 1024 row tuples (about
@@ -685,7 +686,8 @@ def _run_map(config: ExperimentConfig) -> Dataset:
         (cell_index, thetas[cell_index // n_phi], phis[cell_index % n_phi], value)
         for cell_index, value in enumerate(result.values.ravel().tolist())
     ]
-    meta = _meta(config, "kappa", "j", "grid", "count", "window", "k", "spread1",
+    # an entropy-map cell is one coherent state: it takes no count, and records 1
+    meta = _meta(config, "kappa", "j", "grid", "window", "k", "spread1", count=config.count or 1,
                  spread2=None if config.kind == "entropy-map" else 1.0 / config.j,
                  failed_cells=[{"cell": c, "reason": reason} for c, reason in result.failures])
     return Dataset(config.kind, ("cell", "theta", "phi", "value"), rows, meta)
@@ -729,22 +731,30 @@ EXPERIMENT_KINDS = {
 
 _REQUIRED = object()  # a field the kind cannot run without
 
-# each kind's defaults for its unset (None) fields; a field a kind does
-# not list is used as the config holds it.  entropy-map's window depends
-# on kappa and its count is always 1 (see _resolved).
-_MAP_DEFAULTS = {"kappa": _REQUIRED, "j": 100, "grid": (32, 32), "count": 200,
-                 "window": (400, 500)}
+# the fields each kind reads, each required or with its default for when
+# it is unset (None), which a callable computes from the config.  center,
+# k, spread1 and seed are never unset; their defaults here are
+# ExperimentConfig's.  A field not in its kind's row must keep that default.
+_MI = {"k": 3, "spread1": SPREAD_SINGLE_SPIN, "seed": 0}
+_MAP = {"kappa": _REQUIRED, "j": 100, "grid": (32, 32), "count": 200, "window": (400, 500)}
 _DEFAULTS = {
-    "phase-portrait": {"kappa": _REQUIRED, "steps": 200, "grid": (20, 20)},
-    "lyapunov": {"kappa": _REQUIRED, "n_blocks": 1000, "steps_per_block": 10},
-    "entropy-dynamics": {"kappa": _REQUIRED, "j": 20, "steps": 100},
-    "mi-dynamics": {"kappa": _REQUIRED, "j": 100, "count": 1000, "steps": 100},
-    "teq-scaling": {"kappa": _REQUIRED, "j_list": _REQUIRED, "count": 500, "steps": 500},
-    "entropy-map": {"kappa": _REQUIRED, "j": 20, "grid": (32, 32)},
-    "thermo-map": _MAP_DEFAULTS,
-    "mi-map": _MAP_DEFAULTS,
+    # explicit initials replace the grid
+    "phase-portrait": {"kappa": _REQUIRED, "steps": 200, "initials": None,
+                       "grid": lambda config: (20, 20) if config.initials is None else None},
+    "lyapunov": {"kappa": _REQUIRED, "center": DEFAULT_CENTER, "n_blocks": 1000,
+                 "steps_per_block": 10},
+    "entropy-dynamics": {"kappa": _REQUIRED, "j": 20, "steps": 100, "center": DEFAULT_CENTER},
+    "mi-dynamics": {"kappa": _REQUIRED, "j": 100, "count": 1000, "steps": 100,
+                    "center": DEFAULT_CENTER, **_MI},
+    "teq-scaling": {"kappa": _REQUIRED, "j_list": _REQUIRED, "count": 500, "steps": 500,
+                    "center": DEFAULT_CENTER, **_MI},
+    # weak kicking grows entropy logarithmically, so it gets a late window
+    "entropy-map": {"kappa": _REQUIRED, "j": 20, "grid": (32, 32),
+                    "window": lambda config: (20, 40) if config.kappa >= 1.5 else (60, 100)},
+    "thermo-map": {**_MAP, "seed": 0},
+    "mi-map": {**_MAP, **_MI},
     "vn-vs-linear": {},
-    "mi-selftest": {"count": 5000},
+    "mi-selftest": {"count": 5000, "k": 3, "seed": 0},
 }
 
 
@@ -755,14 +765,8 @@ def _resolved(config: ExperimentConfig) -> ExperimentConfig:
         if getattr(config, name) is None:
             if default is _REQUIRED:
                 raise ValueError(f"{config.kind} requires {name}")
-            unset[name] = default
-    config = replace(config, **unset)
-    if config.kind == "entropy-map":
-        # one coherent state per cell; weak kicking grows entropy
-        # logarithmically, so it gets a late window
-        late = (20, 40) if config.kappa >= 1.5 else (60, 100)
-        config = replace(config, count=1, window=config.window or late)
-    return config
+            unset[name] = default(config) if callable(default) else default
+    return replace(config, **unset)
 
 
 def run_experiment(config: ExperimentConfig) -> Dataset:

@@ -228,7 +228,7 @@ def test_criterion_07_map_ordering_chaotic_vs_regular():
 
     maps = {
         "entropy-map": equilibrium_map(ExperimentConfig(
-            "entropy-map", kappa=2.5, j=20, grid=grid, count=1, window=(20, 40), seed=0
+            "entropy-map", kappa=2.5, j=20, grid=grid, window=(20, 40)
         )),
         "thermo-map": equilibrium_map(ExperimentConfig(
             "thermo-map", kappa=2.5, j=100, grid=grid, count=200, window=(400, 500), seed=0

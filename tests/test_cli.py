@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import math
 import os
@@ -11,10 +13,13 @@ import pkgutil
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kickedtop
 from kickedtop import (
@@ -30,7 +35,27 @@ from kickedtop import (
     linear_entropy,
 )
 from kickedtop.cli import _REPORTED_ERRORS, _build_parser, main
-from kickedtop.experiments import ExperimentConfig
+from kickedtop.experiments import _DEFAULTS, ExperimentConfig
+
+# a small valid value for every config field, none of them its declared
+# default: with these every kind's run is quick
+SMALL = {
+    "kappa": 2.5, "j": 4, "j_list": [4, 8], "center": [1.0, 2.0], "initials": [[1.0, 2.0]],
+    "grid": [2, 1], "count": 20, "steps": 5, "k": 4, "window": [1, 3], "n_blocks": 5,
+    "steps_per_block": 2, "spread1": 0.2, "seed": 1,
+}
+
+# every (kind, field) pair the kind does not take
+NOT_TAKEN = [(kind, name) for kind, row in _DEFAULTS.items()
+             for name in ExperimentConfig.__dataclass_fields__ if name not in {"kind", *row}]
+
+
+def _flag(name: str, value) -> list:
+    """The command-line words that set `name` to `value`."""
+    words = value if isinstance(value, list) else [value]
+    return ["--" + name.replace("_", "-")] + [
+        word if isinstance(word, str) else json.dumps(word) for word in words
+    ]
 
 
 class TestSuccessPaths:
@@ -266,17 +291,17 @@ class TestFailurePaths:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("argv", [
-        "phase-portrait --kappa 2.5 --grid 2 2 --steps 3",
-        "mi-dynamics --kappa 6 --count 30 --steps 4",
+    @pytest.mark.parametrize("argv, message", [
+        ("phase-portrait --kappa 2.5 --grid 2 2 --steps 3", "unrecognized arguments: --seed -3"),
+        ("mi-dynamics --kappa 6 --count 30 --steps 4", "seed must be >= 0, got -3"),
     ], ids=["deterministic", "seeded"])
-    def test_negative_seed_is_one_line_error(self, tmp_path, capsys, argv):
-        # the portrait used to record "seed": -3; mi-dynamics failed in numpy
-        # with a message that did not name the field
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys, argv, message):
+        # the portrait used to record "seed": -3, and now takes no seed;
+        # mi-dynamics failed in numpy with a message that did not name the field
         code = main(argv.split() + ["--seed", "-3", "--out", str(tmp_path / "run")])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.splitlines() == ["error: seed must be >= 0, got -3"]
+        assert captured.err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -448,7 +473,7 @@ for argv in (
     ["lyapunov", "--kappa", "6", "--n-blocks", "5", "--steps-per-block", "2"],
     ["phase-portrait", "--kappa", "2.5", "--steps", "3", "--grid", "2", "2"],
     ["entropy-dynamics", "--kappa", "2.5", "--j", "2", "--steps", "3"],
-    ["entropy-map", "--kappa", "2.5", "--j", "2", "--grid", "2", "2", "--steps", "3"],
+    ["entropy-map", "--kappa", "2.5", "--j", "2", "--grid", "2", "2"],
     ["thermo-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "8", "--window", "1", "2"],
     ["vn-vs-linear"],
     ["mi-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "20", "--window", "1", "2"],
@@ -471,13 +496,127 @@ print(json.dumps({"on_import": on_import, "after_runs": scipy_modules()}))
     assert loaded == {"on_import": [], "after_runs": []}
 
 
-def test_every_flag_is_a_config_field():
-    # _config_from_args copies flags by ExperimentConfig field name
-    fields = set(ExperimentConfig.__dataclass_fields__)
+def test_each_subcommand_takes_exactly_its_kinds_fields():
+    # the flags are built from the kind's row of _DEFAULTS; initials, a
+    # list of pairs, is set only from a config file
     (kinds,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(kinds.choices) == set(_DEFAULTS)
     for kind, parser in kinds.choices.items():
         dests = {action.dest for action in parser._actions} - {"help", "config", "out"}
-        assert dests <= fields, (kind, dests - fields)
+        assert dests == set(_DEFAULTS[kind]) - {"initials"}, kind
+
+
+@pytest.mark.parametrize("kind, field", NOT_TAKEN)
+def test_a_field_its_kind_does_not_take_is_refused(tmp_path, capsys, kind, field):
+    # as a flag, argparse does not know it; from a config file, the config refuses it
+    value = SMALL[field]
+    if field != "initials":  # no subcommand has an --initials flag
+        argv = [kind, *_flag(field, value), "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unrecognized arguments: {' '.join(argv[1:-2])}"
+        ]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({field: value}))
+    assert main([kind, "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {kind} does not take {field}"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("lyapunov --kappa abc", "argument --kappa: invalid float value: 'abc'"),
+    ("lyapunov --kappa 1 --bogus 3", "unrecognized arguments: --bogus 3"),
+    ("lyapunov --kappa 1 --count 3", "unrecognized arguments: --count 3"),
+    ("entropy-map --kappa 2.5 --grid 1", "argument --grid: expected 2 arguments"),
+    # no abbreviations: --k would otherwise set entropy-map's kappa
+    ("entropy-map --kappa 2.5 --k 3", "unrecognized arguments: --k 3"),
+    ("", "the following arguments are required: KIND"),
+    # each used to exit 0 with the unused fields dropped, or recorded unused
+    ("lyapunov --kappa 6 --n-blocks 10 --j 5 --count 3 --window 1 2",
+     "unrecognized arguments: --j 5 --count 3 --window 1 2"),
+    ("entropy-map --kappa 2.5 --j 2 --grid 2 2 --count 50 --spread1 0.1 --steps 3",
+     "unrecognized arguments: --count 50 --spread1 0.1 --steps 3"),
+], ids=["bad-float", "unknown-flag", "other-kinds-flag", "pair-arity", "abbreviation",
+        "no-kind", "lyapunov-unused-fields", "entropy-map-unused-fields"])
+def test_malformed_command_line_is_one_line_error(tmp_path, capsys, argv, message):
+    # argparse used to print a usage block and exit 2
+    code = main(argv.split() + ["--out", str(tmp_path / "run")] if argv else [])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["lyapunov", "--help"])
+    assert done.value.code == 0
+    assert "--n-blocks" in capsys.readouterr().out
+
+
+# fields whose unset value is a default too slow for the fuzz below
+WORK_FIELDS = {"grid", "count", "steps", "window", "n_blocks", "steps_per_block"}
+
+# values that are not a valid setting of most fields
+CORRUPT = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.lists(st.lists(st.integers(-3, 3), max_size=2), max_size=2),
+    st.integers(-10**20, -1),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]),
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv without --out, config object or None) for one kind's run.
+
+    Each field the kind takes gets a small valid value, then one key is
+    set to a corrupted value, or to a valid one: a field the kind may not
+    take, or an unknown key.  Each setting goes to a flag or the config.
+    """
+    kind = draw(st.sampled_from(sorted(_DEFAULTS)))
+    row = _DEFAULTS[kind]
+    fields = {name: SMALL[name] for name in row if name != "initials"}
+    name = draw(st.one_of(st.sampled_from(sorted(SMALL)),
+                          st.text(max_size=8).filter(lambda key: key not in SMALL)))
+    corrupt = CORRUPT
+    if name in row and name in WORK_FIELDS:
+        # a JSON null leaves the field unset, and its default costs seconds
+        corrupt = CORRUPT.filter(lambda value: value is not None)
+    fields[name] = draw(st.one_of(corrupt, st.just(SMALL.get(name, 1))))
+    argv, config = [kind], {}
+    for key, value in fields.items():
+        if draw(st.booleans()):
+            argv += _flag(key, value)
+        else:
+            config[key] = value
+    return argv, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(call=cli_calls())
+# argparse echoes an unknown argument as typed; its form feed used to split the error line
+@example(call=(["mi-selftest", "--center", "\x0c"], {"count": 20, "k": 4, "seed": 1}))
+def test_fuzzed_command_line_exits_zero_or_with_one_error_line(call):
+    argv, config = call
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # anything a run writes lands here
+        try:
+            if config:
+                Path("run.json").write_text(json.dumps(config))
+                argv = argv + ["--config", "run.json"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", "run"])
+            assert code in (0, 1)
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), lines
+                assert sorted(os.listdir()) == (["run.json"] if config else [])
+        finally:
+            os.chdir(here)
 
 
 def test_every_package_error_is_reported_by_the_cli():

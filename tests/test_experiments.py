@@ -46,6 +46,17 @@ from kickedtop.experiments import (
     _thermo_series,
 )
 
+# a valid value for every config field, none of them its declared default
+VALID = {
+    "kappa": 2.5, "j": 4, "j_list": (4, 8), "center": (1.0, 2.0), "initials": ((1.0, 2.0),),
+    "grid": (2, 1), "count": 20, "steps": 5, "k": 4, "window": (1, 3), "n_blocks": 5,
+    "steps_per_block": 2, "spread1": 0.1, "seed": 1,
+}
+
+# every (kind, field) pair the kind does not take
+NOT_TAKEN = [(kind, name) for kind, row in _DEFAULTS.items()
+             for name in ExperimentConfig.__dataclass_fields__ if name not in {"kind", *row}]
+
 # every field a kind cannot run without
 REQUIRED_FIELDS = [
     (kind, "kappa") for kind in (
@@ -158,7 +169,7 @@ class TestGridAndMaps:
 
     def test_two_by_two_smoke_map(self):
         result = equilibrium_map(ExperimentConfig(
-            "entropy-map", kappa=2.5, j=4, grid=(2, 2), count=1, window=(5, 15), seed=0
+            "entropy-map", kappa=2.5, j=4, grid=(2, 2), window=(5, 15)
         ))
         assert result.values.shape == (2, 2)
         assert np.all(np.isfinite(result.values))
@@ -172,8 +183,9 @@ class TestGridAndMaps:
         # isolation reproduces its value inside the full grid run, bit for
         # bit; a failed cell raises the reason the full map records.  The
         # mi-map grid has polar cells.
-        config = ExperimentConfig(kind, kappa=2.5, j=100, grid=(4, 2), count=20,
-                                  window=(5, 15), seed=3)
+        ensemble = {} if kind == "entropy-map" else dict(count=20, seed=3)
+        config = ExperimentConfig(kind, kappa=2.5, j=100, grid=(4, 2), window=(5, 15),
+                                  **ensemble)
         full = equilibrium_map(config)
         reasons = dict(full.failures)
         for cell in range(8):
@@ -292,9 +304,9 @@ class TestGridAndMaps:
         with pytest.raises(ValueError, match="unknown kind 'nonsense'"):
             ExperimentConfig("nonsense", kappa=1.0, j=4, grid=(2, 2), window=(5, 15))
         with pytest.raises(ValueError, match="kind must be one of"):
-            map_cell_value(ExperimentConfig("lyapunov", kappa=1.0, j=4, grid=(2, 2)), 0)
+            map_cell_value(ExperimentConfig("lyapunov", kappa=1.0), 0)
         with pytest.raises(ValueError, match="kind must be one of"):
-            equilibrium_map(ExperimentConfig("lyapunov", kappa=1.0, j=4, grid=(2, 2)))
+            equilibrium_map(ExperimentConfig("lyapunov", kappa=1.0))
         with pytest.raises(IndexError):
             map_cell_value(ExperimentConfig("entropy-map", kappa=1.0, j=4, grid=(2, 2),
                                             window=(5, 15)), 9)
@@ -324,8 +336,9 @@ class TestGridAndMaps:
             monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
         monkeypatch.setattr(bipartite, "sample_cap",
                             counted("bipartite.sample_cap", bipartite.sample_cap))
-        equilibrium_map(ExperimentConfig(kind, kappa=2.5, j=j, grid=grid, count=20,
-                                         window=(2, 4), seed=1))
+        ensemble = {} if kind == "entropy-map" else dict(count=20, seed=1)
+        equilibrium_map(ExperimentConfig(kind, kappa=2.5, j=j, grid=grid, window=(2, 4),
+                                         **ensemble))
         assert counts == calls
 
 
@@ -350,17 +363,50 @@ class TestExperimentConfig:
         ("seed", None), ("k", None), ("center", None), ("spread1", None),
     ])
     def test_rejects_wrongly_typed_fields(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            ExperimentConfig(kind="mi-map", **{"kappa": 2.5, field: value})
+        # on a kind that takes the field, so the type check speaks, not the refusal
+        kind = next(kind for kind, row in _DEFAULTS.items() if field in row and "kappa" in row)
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            ExperimentConfig(kind=kind, **{"kappa": 2.5, field: value})
+
+    @pytest.mark.parametrize("kind, field", NOT_TAKEN)
+    def test_refuses_a_field_its_kind_does_not_take(self, kind, field):
+        # the value is valid, and only the declared default passes
+        with pytest.raises(ValueError, match=f"^{kind} does not take {field}$"):
+            ExperimentConfig(kind=kind, **{field: VALID[field]})
+        ExperimentConfig(kind=kind, **{field: ExperimentConfig.__dataclass_fields__[field].default})
+
+    def test_row_defaults_of_set_fields_are_the_declared_ones(self):
+        # center, k, spread1 and seed are never unset, so a row's default for
+        # them documents ExperimentConfig's rather than replacing it
+        for row in _DEFAULTS.values():
+            for name, default in row.items():
+                declared = ExperimentConfig.__dataclass_fields__[name].default
+                if declared is not None:
+                    assert default == declared, name
+
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
+    def test_a_resolved_config_resolves_to_itself(self, kind):
+        # a map run resolves its config twice (run_experiment, equilibrium_map)
+        once = _resolved(ExperimentConfig(kind=kind, **SMALL_CONFIGS[kind]))
+        assert _resolved(once) == once
+
+    def test_portrait_refuses_grid_with_initials(self):
+        # initials used to override the grid silently
+        with pytest.raises(ValueError, match="^phase-portrait takes grid or initials, not both$"):
+            ExperimentConfig(kind="phase-portrait", kappa=2.5, grid=(2, 2), initials=((0.3, 0.4),))
+        resolved = _resolved(ExperimentConfig(kind="phase-portrait", kappa=2.5,
+                                              initials=((0.3, 0.4),)))
+        assert resolved.grid is None
 
     def test_lists_become_tuples_and_keep_their_numbers(self):
-        cfg = ExperimentConfig(
-            kind="phase-portrait", kappa=2, center=[1, 2], grid=[2, 3], window=[0, 4],
-            j_list=[25, 50.0], initials=[[0.3, 0.4]],
-        )
-        assert cfg.center == (1, 2) and type(cfg.center[0]) is int
-        assert (cfg.grid, cfg.window, cfg.j_list) == ((2, 3), (0, 4), (25, 50.0))
-        assert cfg.initials == ((0.3, 0.4),)
+        ensemble = ExperimentConfig(kind="teq-scaling", kappa=2, center=[1, 2],
+                                    j_list=[25, 50.0])
+        assert ensemble.center == (1, 2) and type(ensemble.center[0]) is int
+        assert ensemble.j_list == (25, 50.0)
+        grid = ExperimentConfig(kind="entropy-map", kappa=2, grid=[2, 3], window=[0, 4])
+        assert (grid.grid, grid.window) == ((2, 3), (0, 4))
+        portrait = ExperimentConfig(kind="phase-portrait", kappa=2, initials=[[0.3, 0.4]])
+        assert portrait.initials == ((0.3, 0.4),)
 
     def test_rejects_negative_kappa_and_nonpositive_j(self):
         with pytest.raises(ValueError, match="kappa"):
