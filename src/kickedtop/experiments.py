@@ -14,9 +14,16 @@ equilibrium maps.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import numbers
+import os
+import pickle
+import shutil
+import tempfile
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
@@ -273,10 +280,93 @@ def _entropy_series(states, unitary, window):
     return np.maximum(0.5 * (1.0 - np.einsum("bij,bij->bi", bloch, bloch)), 0.0)[:, lo:]
 
 
+def _worker_count(parts: int) -> int:
+    """Processes for `parts` independent parts: the CPUs this process may use, at most `parts`.
+
+    1 where os.fork or os.sched_getaffinity is missing, so the work stays
+    one plain call.  CPU affinity is the control: `taskset -c 0` gives 1.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), parts)
+
+
+def _forked(run, parts: list) -> list:
+    """[run(part) for part in parts], each part after the first in a forked worker.
+
+    The parent runs parts[0] itself while the workers run the rest.  A
+    worker pickles its result, or the exception it raised, into a pipe and
+    ends in os._exit, so it runs no exit handler and flushes no buffer it
+    shares with the parent.  A worker's exception is raised again in the
+    parent (same type and message), the first in part order, once parts[0]
+    has succeeded.  Every worker is reaped before this returns or raises;
+    when the parent fails or is interrupted, the workers still running are
+    killed first.  One part is a plain call, with no fork.
+    """
+    if len(parts) == 1:
+        return [run(parts[0])]
+    pids, pipes = [], []
+    try:
+        for part in parts[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(read_fd)
+            try:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns when a process with threads forks.
+                    # Here the only threads are OpenBLAS's pool, which
+                    # OpenBLAS shuts down before a fork (pthread_atfork), so
+                    # the worker holds no lock another thread took; it runs
+                    # this package's numpy code and leaves through os._exit
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        outcome = (True, run(part))
+                    except BaseException as exc:
+                        outcome = (False, exc)
+                    payload = pickle.dumps(outcome)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            os.close(write_fd)
+        outcomes = [(True, run(parts[0]))]
+        for read_fd in pipes:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            # a worker that ended without writing (killed, or its outcome
+            # would not pickle) leaves an empty pipe
+            outcomes.append(pickle.loads(data) if data else
+                            (False, ChildProcessError("a worker process ended without a result")))
+    except BaseException:
+        import signal  # only this path needs it, so `import kickedtop` does not load it
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for read_fd in pipes:
+            os.close(read_fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
 _MAP_KINDS = ("entropy-map", "thermo-map", "mi-map")
 
 
-def _map_values(config: ExperimentConfig, cells=None):
+def _map_values(config: ExperimentConfig, cells=None, workers: int = 1):
     """Values of the listed grid cells (default all) of one map, and (cell, reason) failures.
 
     `config` must be resolved (see _resolved), so its grid and window are
@@ -287,13 +377,41 @@ def _map_values(config: ExperimentConfig, cells=None):
     `ksg_mi` call serves every started cell, so its ValueError fails them
     all.  The Floquet unitary is built only when some cell started, so a
     bad j fails every cell alike.
+
+    With `workers` > 1 the cells are dealt out as cells[w::workers], one
+    share per process (_forked), and each share runs the pass above on its
+    own.  A `ksg_mi` refusal in any share fails the started cells of every
+    share with its message, as one stacked call would (ksg_mi's refusal
+    messages do not depend on which rows a stack holds), so the result
+    does not depend on `workers`.
+    """
+    if config.kind not in _MAP_KINDS:
+        raise ValueError(f"kind must be one of {_MAP_KINDS}, got {config.kind!r}")
+    n_theta, n_phi = config.grid
+    cells = range(n_theta * n_phi) if cells is None else cells
+    shares = _forked(functools.partial(_map_share, config),
+                     [cells[w::workers] for w in range(workers)])
+    values, failures = np.full(len(cells), np.nan), []
+    refusal = next((share[3] for share in shares if share[3] is not None), None)
+    for w, (share_values, share_failures, started, _) in enumerate(shares):
+        failures += share_failures
+        if refusal is None:
+            values[w::workers] = share_values
+        else:
+            share_cells = cells[w::workers]
+            failures += [(share_cells[row], refusal) for row in started]
+    return values, failures
+
+
+def _map_share(config: ExperimentConfig, cells):
+    """One share of a map pass: (values, failures, started rows, ksg_mi refusal or None).
+
+    The pass of _map_values on `cells`, except that a `ksg_mi` ValueError
+    is returned as its message instead of failing the started cells.
     """
     kind, j = config.kind, config.j
-    if kind not in _MAP_KINDS:
-        raise ValueError(f"kind must be one of {_MAP_KINDS}, got {kind!r}")
     n_theta, n_phi = config.grid
     thetas, phis = grid_centers(n_theta, n_phi)
-    cells = range(n_theta * n_phi) if cells is None else cells
     started, starts, failures = [], [], []
     for row, cell in enumerate(cells):
         if not 0 <= cell < n_theta * n_phi:
@@ -315,7 +433,7 @@ def _map_values(config: ExperimentConfig, cells=None):
         starts.append(start)
     values = np.full(len(cells), np.nan)
     if not starts:
-        return values, failures
+        return values, failures, started, None
     params = KickParams(config.kappa)
     if kind == "entropy-map":
         windows = _entropy_series(starts, floquet_unitary(j, config.kappa), config.window)
@@ -326,10 +444,10 @@ def _map_values(config: ExperimentConfig, cells=None):
         try:
             windows = _mi_series(starts, params, j, config.window, config.k)
         except ValueError as exc:
-            return values, failures + [(cells[row], str(exc)) for row in started]
+            return values, failures, started, str(exc)
     for row, series in zip(started, windows):
         values[row] = float(np.mean(series))
-    return values, failures
+    return values, failures, started, None
 
 
 def map_cell_value(config: ExperimentConfig, cell_index: int) -> float:
@@ -338,8 +456,10 @@ def map_cell_value(config: ExperimentConfig, cell_index: int) -> float:
     Unset fields take the kind's defaults, as in run_experiment.  Cells
     are independent: each draws from its own child stream keyed by
     cell_index, so evaluating any subset in any order (or in parallel)
-    reproduces the full map's values.  This runs the full map's kernel on
-    a one-cell list; a failed cell raises ValueError with its recorded reason.
+    reproduces the full map's values; equilibrium_map relies on this when
+    it splits a thermo-map or mi-map over worker processes.  This runs the
+    full map's kernel on a one-cell list, in this process; a failed cell
+    raises ValueError with its recorded reason.
     """
     values, failures = _map_values(_resolved(config), [cell_index])
     if failures:
@@ -354,9 +474,19 @@ def equilibrium_map(config: ExperimentConfig) -> EquilibriumMap:
     whose patch overlaps a pole (or any other per-cell ValueError) is
     recorded in `failures`, in cell order, and left as NaN.  A kind that
     is not a map kind raises.
+
+    A thermo-map or mi-map runs on every CPU this process may use
+    (os.sched_getaffinity; `taskset -c 0` gives one): its cells are dealt
+    out interleaved to forked workers, whose memory does not count in this
+    process's ru_maxrss.  The values and failures are those of one pass,
+    bit for bit, whatever the CPU count.  An entropy-map stays one pass in
+    this process: OpenBLAS already runs its products and its `eigh` on
+    every CPU, and the `eigh` bits depend on the BLAS thread count.
     """
     config = _resolved(config)
-    values, failures = _map_values(config)
+    split = config.kind in ("thermo-map", "mi-map")
+    workers = _worker_count(math.prod(config.grid)) if split else 1
+    values, failures = _map_values(config, workers=workers)
     n_theta, n_phi = config.grid
     thetas, phis = grid_centers(n_theta, n_phi)
     return EquilibriumMap(
@@ -473,6 +603,13 @@ def _checked(name: str, value, element: type, arity: str):
 # text is joined, so a chunk stays small next to the 56 B-a-row records
 _WRITE_CHUNK_ROWS = 1024
 
+# fields (rows x columns) from which Dataset.write renders its rows in
+# several processes.  On a 2-core Xeon the split paid from about 17,000
+# fields of portrait records, and for (int, float) tuples, whose objects
+# the worker copies as it reads them, between 33,000 and 65,000 fields; a
+# fork and reap cost 4-6 ms
+_SPLIT_WRITE_FIELDS = 50_000
+
 # characters that make csv.writer quote a field under QUOTE_MINIMAL
 _CSV_SPECIALS = ',"\r\n'
 
@@ -503,7 +640,18 @@ class Dataset:
         """Write <kind>.csv and <kind>.meta.json under `outdir`; returns paths.
 
         ValueError, and no file left behind, if a row would need CSV quoting
-        or the meta holds a NaN or an infinity (not valid JSON).
+        or the meta holds a NaN or an infinity (not valid JSON).  A failed
+        meta write removes the CSV as well.
+
+        From _SPLIT_WRITE_FIELDS fields (rows x columns) on, the rows are
+        rendered on every CPU this process may use (os.sched_getaffinity;
+        `taskset -c 0` gives one), in contiguous ranges on chunk
+        boundaries.  This process writes the first range straight into the
+        CSV; each forked worker (_forked) renders its range into an unlinked
+        temporary file in `outdir`, which is then appended a bounded buffer
+        at a time.  The bytes, and the error a bad row raises, do not
+        depend on the CPU count; the workers' memory does not count in this
+        process's ru_maxrss.
         """
         meta_text = json.dumps(self.meta, allow_nan=False, indent=2, sort_keys=True,
                                default=_json_safe)
@@ -515,16 +663,36 @@ class Dataset:
         csv_path = outdir / f"{self.kind}.csv"
         meta_path = outdir / f"{self.kind}.meta.json"
         line = ",".join(["%s"] * len(self.columns)) + "\n"
+        rows = self.rows
+        chunks = -(-len(rows) // _WRITE_CHUNK_ROWS)
+        parts = (_worker_count(chunks) if len(rows) * len(self.columns) >= _SPLIT_WRITE_FIELDS
+                 else 1)
+        bounds = [min(len(rows), chunks * w // parts * _WRITE_CHUNK_ROWS)
+                  for w in range(parts + 1)]
+
+        def render(part):
+            out, lo, hi = part
+            for start in range(lo, hi, _WRITE_CHUNK_ROWS):
+                chunk = _as_tuples(rows[start:min(start + _WRITE_CHUNK_ROWS, hi)])
+                out.write(_csv_text(line, chunk))
+            out.flush()
+
         try:
-            with open(csv_path, "w", newline="") as handle:
+            with open(csv_path, "w", newline="") as handle, contextlib.ExitStack() as temps:
                 handle.write(_csv_text(line, [tuple(self.columns)]))
-                for start in range(0, len(self.rows), _WRITE_CHUNK_ROWS):
-                    chunk = _as_tuples(self.rows[start:start + _WRITE_CHUNK_ROWS])
-                    handle.write(_csv_text(line, chunk))
+                # unlinked, so a killed run leaves none behind
+                outs = [handle] + [temps.enter_context(tempfile.TemporaryFile(
+                    "w+", newline="", dir=outdir)) for _ in range(parts - 1)]
+                _forked(render, list(zip(outs, bounds, bounds[1:])))
+                handle.flush()
+                for temp in outs[1:]:
+                    # as bytes, 64 KiB at a time: no decoded copy
+                    temp.seek(0)
+                    shutil.copyfileobj(temp.buffer, handle.buffer)
+            meta_path.write_text(meta_text + "\n")
         except BaseException:
             csv_path.unlink(missing_ok=True)
             raise
-        meta_path.write_text(meta_text + "\n")
         return csv_path, meta_path
 
 

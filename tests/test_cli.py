@@ -460,11 +460,14 @@ def test_error_messages_print_numbers_as_python_numbers(fails, message):
 
 def test_no_run_imports_scipy(tmp_path):
     # importing scipy costs about 0.4 s and 35 MB; the package needs none of
-    # it, so neither the import nor a run of any kind may load a scipy module
+    # it, so neither the import nor a run of any kind may load a scipy module.
+    # The worker processes are plain forks: no multiprocessing or
+    # concurrent.futures either.
     child = """
 import json, sys
 def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] in ("scipy", "multiprocessing", "concurrent"))
 import kickedtop
 from kickedtop.cli import main
 on_import = scipy_modules()
@@ -494,6 +497,56 @@ print(json.dumps({"on_import": on_import, "after_runs": scipy_modules()}))
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert loaded == {"on_import": [], "after_runs": []}
+
+
+def test_failed_meta_write_leaves_no_csv(tmp_path, capsys):
+    # a directory stands where the sidecar goes, so its write fails after
+    # the CSV was written; the CSV used to stay behind
+    (tmp_path / "lyapunov.meta.json").mkdir()
+    assert main(["lyapunov", "--kappa", "6", "--n-blocks", "10", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert [path.name for path in tmp_path.iterdir()] == ["lyapunov.meta.json"]
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2,
+                    reason="one CPU: the run here is already the one-CPU run")
+def test_outputs_match_a_rerun_pinned_to_one_cpu(tmp_path, monkeypatch):
+    # the CSV render (from 50,000 fields: this portrait has 70,700) and the
+    # thermo-map and mi-map passes split over the CPUs this process may
+    # use; a child pinned to one CPU runs them as one process and must
+    # write the same bytes
+    runs = [
+        ["phase-portrait", "--kappa", "2.5", "--grid", "10", "10", "--steps", "100"],
+        ["thermo-map", "--kappa", "2.5", "--grid", "4", "3", "--count", "20", "--window", "2", "6"],
+        ["mi-map", "--kappa", "2.5", "--grid", "4", "3", "--count", "30", "--window", "2", "5"],
+    ]
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp_path / "all")]) == 0
+    assert len(forks) >= len(runs)
+    child = """
+import json, os, sys
+from kickedtop.cli import main
+runs = json.loads(sys.argv[2])
+assert len(os.sched_getaffinity(0)) == 1
+for argv in runs:
+    assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+"""
+    cpu = min(os.sched_getaffinity(0))
+    src = Path(kickedtop.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path / "one"), json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-3000:]
+    for argv in runs:
+        for suffix in (".csv", ".meta.json"):
+            name = argv[0] + suffix
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
 
 
 def test_each_subcommand_takes_exactly_its_kinds_fields():

@@ -4,7 +4,9 @@ import csv
 import functools
 import hashlib
 import json
+import os
 import re
+import time
 import tracemalloc
 from collections import Counter
 
@@ -38,9 +40,11 @@ from kickedtop import bipartite, experiments
 from kickedtop.experiments import (
     _DEFAULTS,
     _REQUIRED,
+    _SPLIT_WRITE_FIELDS,
     _WRITE_CHUNK_ROWS,
     EXPERIMENT_KINDS,
     _as_tuples,
+    _forked,
     _map_values,
     _resolved,
     _thermo_series,
@@ -64,6 +68,31 @@ REQUIRED_FIELDS = [
         "entropy-map", "thermo-map", "mi-map",
     )
 ] + [("teq-scaling", "j_list")]
+
+
+# the CPUs this process may run on: the most workers a test may ask for
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or len(CPUS) < 2,
+                                reason="worker processes need os.fork and two CPUs")
+
+
+def _on_cpus(monkeypatch, count: int):
+    """Let the package see `count` of this process's CPUs, so it uses at most that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(CPUS[:count]), raising=False)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    # map passes and CSV renders stay in this process, so in-process
+    # counts and memory bounds see all of the work
+    _on_cpus(monkeypatch, 1)
+
+
+def _assert_no_child_left():
+    """Every worker was reaped: this process has no child, running or exited."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _traced_peak(run) -> int:
@@ -157,6 +186,31 @@ def _full_map_pass(case):
     return _map_values(config, range(config.grid[0] * config.grid[1]))
 
 
+def _count_forks(patch) -> list:
+    """A list that gets one entry per os.fork call this process makes from now on."""
+    forks, fork = [], os.fork
+    patch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _refuse_stacks_holding(patch, config, cell):
+    """Make ksg_mi refuse, at any window step, every stack that holds `cell`'s ensemble."""
+    ksg_mi, seen = experiments.ksg_mi, set()
+
+    def recording(samples, k):
+        seen.update(row.tobytes() for row in samples)
+        return ksg_mi(samples, k=k)
+
+    def refusing(samples, k):
+        if any(row.tobytes() in seen for row in samples):
+            raise ValueError(f"refused: the stack holds cell {cell}")
+        return ksg_mi(samples, k=k)
+
+    patch.setattr(experiments, "ksg_mi", recording)
+    _map_values(config, [cell])
+    patch.setattr(experiments, "ksg_mi", refusing)
+
+
 class TestGridAndMaps:
     def test_grid_centers_formula(self):
         thetas, phis = grid_centers(2, 2)
@@ -212,6 +266,34 @@ class TestGridAndMaps:
         assert values.tobytes() == full_values[cells].tobytes()
         assert sorted(failures) == sorted(f for f in full_failures if f[0] in cells)
 
+    @needs_fork
+    @settings(max_examples=20, deadline=None)
+    @given(case=st.sampled_from(["thermo-map polar", "mi-map polar", "mi-map refused",
+                                 "mi-map refused in one share"]),
+           grid=st.tuples(st.integers(1, 5), st.integers(1, 3)),
+           workers=st.integers(1, len(CPUS)), data=st.data())
+    def test_workers_reproduce_the_one_worker_pass(self, case, grid, workers, data):
+        # equilibrium_map deals thermo-map and mi-map cells out to forked
+        # workers; it must give the values and failures of one pass, bit for
+        # bit, whether ksg_mi refuses every stack (count 12, k 11) or only
+        # the one holding a chosen cell, which one worker's share holds
+        base = {"mi-map refused in one share": "mi-map polar"}.get(case, case)
+        config = _resolved(ExperimentConfig(**{**SUBSET_CASES[base], "grid": grid}))
+        with pytest.MonkeyPatch.context() as patch:
+            if case.endswith("in one share"):
+                failed = {cell for cell, _ in _map_values(config)[1]}
+                started = [cell for cell in range(grid[0] * grid[1]) if cell not in failed]
+                if started:
+                    _refuse_stacks_holding(patch, config, data.draw(st.sampled_from(started)))
+            one_values, one_failures = _map_values(config)
+            forks = _count_forks(patch)
+            _on_cpus(patch, workers)
+            split = equilibrium_map(config)
+        assert len(forks) == min(workers, grid[0] * grid[1]) - 1
+        assert split.values.tobytes() == one_values.tobytes()
+        assert split.failures == sorted(one_failures)
+        _assert_no_child_left()
+
     @pytest.mark.parametrize("count, k, reason", [
         (5, 3, "count must be >= 8, got 5"),
         (12, 11, "need at least k + 2 = 13 samples, got 12"),
@@ -256,7 +338,7 @@ class TestGridAndMaps:
                 assert values[row, t] == thermo_limit_entropy(vecs)
                 vecs = classical_step(vecs, params)
 
-    def test_mi_map_memory_does_not_grow_with_window_end(self):
+    def test_mi_map_memory_does_not_grow_with_window_end(self, one_cpu):
         # the ensembles are stepped in place; no (steps + 1, cells * count)
         # series is kept, so moving the window late costs no memory.  Such
         # a series would take 2 * 8 B * 1001 * 3 * 100 = 4.8 MB here.
@@ -321,7 +403,8 @@ class TestGridAndMaps:
         # call per window step serves every cell
         ("mi-map", 100, (4, 2), {"bipartite.sample_cap": 8, "ksg_mi": 3}),
     ])
-    def test_map_pass_looks_kernels_up_at_call_time(self, monkeypatch, kind, j, grid, calls):
+    def test_map_pass_looks_kernels_up_at_call_time(self, monkeypatch, one_cpu, kind, j, grid,
+                                                    calls):
         # perfbench's tracer wraps these names in place; a kernel bound into
         # a table at import time would bypass the wrapper and hide its spans
         counts = Counter()
@@ -542,6 +625,29 @@ HAND_BUILT = Dataset("probe", ("flag", "n", "x", "label"), [
 ], {})
 
 
+def _render_probe(rows_kind: str, offset) -> Dataset:
+    """A dataset `offset` rows away from the first row count at _SPLIT_WRITE_FIELDS fields.
+
+    offset "3-row tail" asks for at least one more chunk, whose last one
+    has 3 rows.  "array" rows are portrait records (seven columns), "list"
+    rows (int, float) tuples, as a Lyapunov run writes.
+    """
+    rng = np.random.default_rng(7)
+    columns = PORTRAIT_DTYPE.names if rows_kind == "array" else ("block", "lambda_running")
+    count = -(-_SPLIT_WRITE_FIELDS // len(columns))
+    if offset == "3-row tail":
+        count = (count // _WRITE_CHUNK_ROWS + 2) * _WRITE_CHUNK_ROWS + 3
+    else:
+        count += offset
+    if rows_kind == "list":
+        return Dataset("probe", columns, list(enumerate(rng.normal(size=count).tolist())), {})
+    rows = np.zeros(count, dtype=PORTRAIT_DTYPE)
+    for name in columns:
+        integer = name in ("traj_id", "step")
+        rows[name] = rng.integers(0, 10**6, count) if integer else rng.normal(size=count)
+    return Dataset("probe", columns, rows, {})
+
+
 class TestDatasetOutput:
     def test_small_configs_cover_every_kind(self):
         assert set(SMALL_CONFIGS) == set(EXPERIMENT_KINDS)
@@ -607,7 +713,7 @@ class TestDatasetOutput:
         nbytes = len(initials) * 401 * PORTRAIT_DTYPE.itemsize
         assert peak < nbytes + 500_000, (peak, nbytes)
 
-    def test_portrait_run_and_write_hold_one_chunk_of_row_tuples(self, tmp_path):
+    def test_portrait_run_and_write_hold_one_chunk_of_row_tuples(self, tmp_path, one_cpu):
         # the records go to Dataset.write as one structured array, which
         # becomes row tuples a chunk at a time: 1024 tuples (about 0.23 MB)
         # and their text (about 0.11 MB).  A list of all 40,100 row tuples,
@@ -627,6 +733,54 @@ class TestDatasetOutput:
         with pytest.raises(ValueError, match="CSV quoting"):
             Dataset("probe", ("case", "n"), rows, {}).write(tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    @needs_fork
+    @pytest.mark.parametrize("rows_kind", ["array", "list"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, "3-row tail"],
+                             ids=["under", "at", "over", "short-tail"])
+    def test_split_render_has_the_bytes_of_one_process(self, tmp_path, monkeypatch, rows_kind,
+                                                       offset):
+        # from _SPLIT_WRITE_FIELDS fields on, a second CPU renders the later
+        # rows; row counts just under and over that, none a whole number of
+        # chunks, must give the bytes of one process.  The worker's last
+        # chunk of 3 rows is smaller than a file buffer, so it reaches the
+        # file only if the worker flushes before it exits.
+        ds = _render_probe(rows_kind, offset)
+        forks = _count_forks(monkeypatch)
+        _on_cpus(monkeypatch, 1)
+        one = ds.write(tmp_path / "one")[0].read_bytes()
+        assert forks == []
+        _on_cpus(monkeypatch, 2)
+        two = ds.write(tmp_path / "two")[0].read_bytes()
+        assert len(forks) == (offset != -1)
+        assert len(ds.rows) % _WRITE_CHUNK_ROWS != 0
+        assert two == one
+        _assert_no_child_left()
+
+    @needs_fork
+    def test_field_needing_quotes_in_a_workers_rows_is_refused(self, tmp_path, monkeypatch):
+        # the last row is in the worker's range; it raises the one-process
+        # error in this process, and neither the CSV nor a temporary file is left
+        ds = _render_probe("list", 1)
+        ds.rows[-1] = ("a,b", 1.0)
+        errors = []
+        for cpus in (2, 1):
+            _on_cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError, match="CSV quoting") as caught:
+                ds.write(tmp_path)
+            errors.append(str(caught.value))
+            assert list(tmp_path.iterdir()) == []
+            _assert_no_child_left()
+        assert errors[0] == errors[1]
+
+    def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
+        def refused():
+            raise AssertionError("os.fork called on one CPU")
+
+        monkeypatch.setattr(os, "fork", refused, raising=False)
+        _on_cpus(monkeypatch, 1)
+        _render_probe("array", 1).write(tmp_path)
+        equilibrium_map(ExperimentConfig(**SUBSET_CASES["thermo-map polar"]))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf],
                              ids=["nan", "inf", "-inf"])
@@ -653,6 +807,52 @@ class TestDatasetOutput:
         assert meta["kappa"] == 2.5
         assert meta["window"] == [5, 15]
         assert "units" in meta and "version" in meta
+
+
+@needs_fork
+class TestForked:
+    # the fork helper behind the split map pass and CSV render; no test
+    # asks for more parts than this process has CPUs
+    def test_parts_run_in_separate_processes_and_return_in_order(self):
+        parts = list(range(len(CPUS)))
+        results = _forked(lambda part: (part, os.getpid()), parts)
+        assert [part for part, _ in results] == parts
+        assert results[0][1] == os.getpid()
+        assert len({pid for _, pid in results}) == len(parts)
+        _assert_no_child_left()
+
+    def test_a_workers_exception_is_raised_with_its_type_and_message(self):
+        def run(part):
+            if part:
+                raise NotEquilibratedError(f"part {part} failed")
+            return part
+
+        with pytest.raises(NotEquilibratedError, match="^part 1 failed$"):
+            _forked(run, list(range(len(CPUS))))
+        _assert_no_child_left()
+
+    def test_a_worker_that_ends_without_a_result_is_an_error(self):
+        def run(part):
+            if part:
+                os._exit(3)
+            return part
+
+        with pytest.raises(ChildProcessError, match="without a result"):
+            _forked(run, list(range(len(CPUS))))
+        _assert_no_child_left()
+
+    def test_an_interrupted_parent_kills_and_reaps_its_workers(self):
+        # the workers would sleep for a minute; they are killed, not awaited
+        def run(part):
+            if part == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        begin = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _forked(run, list(range(len(CPUS))))
+        assert time.monotonic() - begin < 30
+        _assert_no_child_left()
 
 
 # sha256 of (CSV, .meta.json) for small runs; any change to the output
