@@ -33,6 +33,7 @@ import numpy as np
 
 from .bipartite import CapDistribution, _cap_vectors, pair_x_steps, sample_pairs
 from .classical import (
+    PORTRAIT_DTYPE,
     KickedTopError,
     KickParams,
     SphericalPoint,
@@ -417,15 +418,17 @@ def _map_share(config: ExperimentConfig, cells):
         if not 0 <= cell < n_theta * n_phi:
             raise IndexError(f"cell_index {cell} out of range for {n_theta}x{n_phi}")
         center = (float(thetas[cell // n_phi]), float(phis[cell % n_phi]))
-        cell_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(cell,))
         try:
             if kind == "entropy-map":
+                # takes no seed, so the run never loads numpy.random
                 start = coherent_state(j, *center)
-            elif kind == "thermo-map":
-                cap = CapDistribution(center=SphericalPoint(*center), solid_angle=1.0 / j)
-                start = _cap_vectors(cap, config.count, cell_seed)
             else:
-                start = _mi_start(center, config.spread1, j, config.count, cell_seed)
+                cell_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(cell,))
+                if kind == "thermo-map":
+                    cap = CapDistribution(center=SphericalPoint(*center), solid_angle=1.0 / j)
+                    start = _cap_vectors(cap, config.count, cell_seed)
+                else:
+                    start = _mi_start(center, config.spread1, j, config.count, cell_seed)
         except ValueError as exc:
             failures.append((cell, str(exc)))
             continue
@@ -624,16 +627,18 @@ class Dataset:
     exactly what csv.writer(lineterminator="\n") would write: str() of
     each field, unquoted.  A row that would need quoting is refused.
 
-    `rows` is a list of such tuples, or a 1-d structured array of int and
-    float fields, one per column (phase-portrait); write turns the array
-    into row tuples one chunk at a time (`_as_tuples`), so a long array
-    never exists as Python objects all at once.  Datasets compare by
-    identity: `==` on array rows would be ambiguous.
+    `rows` is a list of such tuples, a 1-d structured array of int and
+    float fields, one per column, or a sequence (len() and contiguous
+    slices) whose slices are such arrays, as a phase-portrait's
+    _PortraitRows is.  write turns each chunk's slice into row tuples
+    (`_as_tuples`), so long rows never exist as Python objects all at
+    once.  Datasets compare by identity: `==` on array rows would be
+    ambiguous.
     """
 
     kind: str
     columns: tuple
-    rows: list | np.ndarray
+    rows: list | np.ndarray | _PortraitRows
     meta: dict
 
     def write(self, outdir) -> tuple:
@@ -749,10 +754,71 @@ def _run_phase_portrait(config: ExperimentConfig) -> Dataset:
         initials[..., 0] = thetas[:, np.newaxis]
         initials[..., 1] = phis
         initials = initials.reshape(-1, 2)
-    records = phase_portrait(initials, KickParams(config.kappa), config.steps)
+    rows = _PortraitRows(initials, KickParams(config.kappa), config.steps)
     meta = _meta(config, "kappa", "steps", initials=initials.tolist(),
                  note="grid defaults reconstruct the portrait; initials override it")
-    return Dataset(config.kind, records.dtype.names, records, meta)
+    return Dataset(config.kind, PORTRAIT_DTYPE.names, rows, meta)
+
+
+# bytes of records a portrait holds at a time: its rows are computed one
+# group of consecutive trajectories at a time, as many as fit (at least
+# one).  A smaller group steps fewer trajectories per classical_step call:
+# on a 2-core Xeon, 512 KiB and 256 KiB made a 400-trajectory, 2000-step
+# portrait 25 % and 67 % slower, where 1 MiB matched one batch
+_PORTRAIT_GROUP_BYTES = 1 << 20
+
+
+class _PortraitRows:
+    """The records of phase_portrait(initials, params, steps), one group of trajectories at a time.
+
+    A Dataset row source: len() is the row count, and a contiguous slice
+    gives those rows as a PORTRAIT_DTYPE array.  A group is one
+    phase_portrait call on its starts, with traj_id offset by its first
+    trajectory.  Stepping a batch and the angle ufuncs work element by
+    element, so the rows have the bits of one call over all starts.  Only
+    the current group is held.  Group 0 is computed here, so an
+    allocation numpy refuses fails before anything is written.
+    """
+
+    def __init__(self, initials: np.ndarray, params: KickParams, steps: int):
+        self.initials, self.params, self.steps = initials, params, steps
+        self.group = max(1, _PORTRAIT_GROUP_BYTES // ((steps + 1) * PORTRAIT_DTYPE.itemsize))
+        self._load(0)
+
+    def __len__(self) -> int:
+        return len(self.initials) * (self.steps + 1)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError(f"portrait rows are read by contiguous slices, not {rows!r}")
+        lo, hi, _ = rows.indices(len(self))
+        hi = max(lo, hi)
+        size = self.group * (self.steps + 1)  # rows per group
+        # a slice within one group is a view of it; one across groups a copy
+        out = None if lo // size == max(lo, hi - 1) // size else np.empty(hi - lo, PORTRAIT_DTYPE)
+        at = lo
+        while True:
+            group, offset = divmod(at, size)
+            if group != self._group:
+                self._load(group)
+            stop = min(offset + hi - at, size)
+            if out is None:
+                return self._records[offset:stop]
+            # no view of this group outlives the copy, so _load can free it
+            out[at - lo:at - lo + stop - offset] = self._records[offset:stop]
+            at += stop - offset
+            if at == hi:
+                return out
+
+    def _load(self, group: int):
+        # the old group goes first, so two are never held at once
+        self._group = self._records = None
+        first = group * self.group
+        # looked up at call time, where perfbench's tracer patches it
+        records = phase_portrait(self.initials[first:first + self.group], self.params,
+                                 self.steps)
+        records["traj_id"] += first
+        self._group, self._records = group, records
 
 
 def _run_lyapunov(config: ExperimentConfig) -> Dataset:

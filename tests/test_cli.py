@@ -462,7 +462,8 @@ def test_no_run_imports_scipy(tmp_path):
     # importing scipy costs about 0.4 s and 35 MB; the package needs none of
     # it, so neither the import nor a run of any kind may load a scipy module.
     # The worker processes are plain forks: no multiprocessing or
-    # concurrent.futures either.
+    # concurrent.futures either.  A kind that takes no seed does not load
+    # numpy.random (about 16 ms of import and 6 MB).
     child = """
 import json, sys
 def scipy_modules():
@@ -477,8 +478,12 @@ for argv in (
     ["phase-portrait", "--kappa", "2.5", "--steps", "3", "--grid", "2", "2"],
     ["entropy-dynamics", "--kappa", "2.5", "--j", "2", "--steps", "3"],
     ["entropy-map", "--kappa", "2.5", "--j", "2", "--grid", "2", "2"],
-    ["thermo-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "8", "--window", "1", "2"],
     ["vn-vs-linear"],
+):
+    assert main(argv + ["--out", out]) == 0, argv
+unseeded_random = "numpy.random" in sys.modules
+for argv in (
+    ["thermo-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "8", "--window", "1", "2"],
     ["mi-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "20", "--window", "1", "2"],
     ["mi-dynamics", "--kappa", "2.5", "--j", "10", "--count", "20", "--steps", "3"],
     ["teq-scaling", "--kappa", "2.5", "--j-list", "5", "10", "--count", "20", "--steps", "30"],
@@ -487,7 +492,8 @@ for argv in (
     assert main(argv + ["--out", out]) == 0, argv
 import numpy as np
 kickedtop.ksg_mi(np.random.default_rng(0).normal(size=(50, 2)))
-print(json.dumps({"on_import": on_import, "after_runs": scipy_modules()}))
+print(json.dumps({"on_import": on_import, "numpy.random after unseeded runs": unseeded_random,
+                  "after_runs": scipy_modules()}))
 """
     src = Path(kickedtop.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -496,7 +502,8 @@ print(json.dumps({"on_import": on_import, "after_runs": scipy_modules()}))
         capture_output=True, text=True, timeout=120, check=True,
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {"on_import": [], "after_runs": []}
+    assert loaded == {"on_import": [], "numpy.random after unseeded runs": False,
+                      "after_runs": []}
 
 
 def test_failed_meta_write_leaves_no_csv(tmp_path, capsys):

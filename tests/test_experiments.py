@@ -43,6 +43,7 @@ from kickedtop.experiments import (
     _SPLIT_WRITE_FIELDS,
     _WRITE_CHUNK_ROWS,
     EXPERIMENT_KINDS,
+    _PortraitRows,
     _as_tuples,
     _forked,
     _map_values,
@@ -630,8 +631,13 @@ def _render_probe(rows_kind: str, offset) -> Dataset:
 
     offset "3-row tail" asks for at least one more chunk, whose last one
     has 3 rows.  "array" rows are portrait records (seven columns), "list"
-    rows (int, float) tuples, as a Lyapunov run writes.
+    rows (int, float) tuples, as a Lyapunov run writes.  "portrait" is a
+    phase-portrait run of 100 trajectories (140,700 fields) whatever the
+    offset: its default group of 93 trajectories does not divide them.
     """
+    if rows_kind == "portrait":
+        return run_experiment(ExperimentConfig("phase-portrait", kappa=2.5, grid=(10, 10),
+                                               steps=200))
     rng = np.random.default_rng(7)
     columns = PORTRAIT_DTYPE.names if rows_kind == "array" else ("block", "lambda_running")
     count = -(-_SPLIT_WRITE_FIELDS // len(columns))
@@ -648,6 +654,15 @@ def _render_probe(rows_kind: str, offset) -> Dataset:
     return Dataset("probe", columns, rows, {})
 
 
+# (rows kind, offset) of each split-render case, by test id
+SPLIT_CASES = {
+    **{f"{name}-{rows_kind}": (rows_kind, offset)
+       for name, offset in [("under", -1), ("at", 0), ("over", 1), ("short-tail", "3-row tail")]
+       for rows_kind in ("array", "list")},
+    "grouped-portrait": ("portrait", None),
+}
+
+
 class TestDatasetOutput:
     def test_small_configs_cover_every_kind(self):
         assert set(SMALL_CONFIGS) == set(EXPERIMENT_KINDS)
@@ -656,7 +671,7 @@ class TestDatasetOutput:
     def test_rows_hold_native_scalars(self, kind):
         # the row contract of Dataset.write (str for int, repr for float)
         ds = run_experiment(ExperimentConfig(kind=kind, **SMALL_CONFIGS[kind]))
-        rows = _as_tuples(ds.rows)
+        rows = _as_tuples(ds.rows[:])
         assert rows
         for row in rows:
             assert len(row) == len(ds.columns)
@@ -695,11 +710,11 @@ class TestDatasetOutput:
         with open(tmp_path / "oracle.csv", "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(ds.columns)
-            writer.writerows(_as_tuples(ds.rows))
+            writer.writerows(_as_tuples(ds.rows[:]))
         assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_datasets_compare_by_identity(self):
-        # portrait rows are an array, whose == is elementwise
+        # a portrait's rows are a row source, and array rows' == is elementwise
         config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(2, 2), steps=3)
         ds = run_experiment(config)
         assert ds == ds and ds != run_experiment(config)
@@ -714,16 +729,49 @@ class TestDatasetOutput:
         assert peak < nbytes + 500_000, (peak, nbytes)
 
     def test_portrait_run_and_write_hold_one_chunk_of_row_tuples(self, tmp_path, one_cpu):
-        # the records go to Dataset.write as one structured array, which
-        # becomes row tuples a chunk at a time: 1024 tuples (about 0.23 MB)
-        # and their text (about 0.11 MB).  A list of all 40,100 row tuples,
-        # about 225 B each, would add 9 MB over the portrait's own peak.
+        # the records reach Dataset.write a group of trajectories at a time
+        # (_PortraitRows) and become row tuples a chunk at a time: 1024
+        # tuples (about 0.23 MB) and their text (about 0.11 MB).  A list of
+        # all 40,100 row tuples, about 225 B each, would add 9 MB over the
+        # peak of one phase_portrait call over all the starts.
         thetas, phis = grid_centers(10, 10)
         initials = [(float(t), float(p)) for t in thetas for p in phis]
         portrait = _traced_peak(lambda: phase_portrait(initials, KickParams(2.5), 400))
         config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(10, 10), steps=400)
         written = _traced_peak(lambda: run_experiment(config).write(tmp_path))
         assert written - portrait < 1_000_000, (portrait, written)
+
+    def test_portrait_memory_stays_flat(self, tmp_path, monkeypatch, one_cpu):
+        # records 17 times the group budget run and write within the budget
+        # plus one write chunk (about 0.5 MB) and the stepping's angle blocks
+        monkeypatch.setattr(experiments, "_PORTRAIT_GROUP_BYTES", 1 << 16)
+        config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(10, 10), steps=200)
+        records = 100 * 201 * PORTRAIT_DTYPE.itemsize
+        assert records >= 8 * experiments._PORTRAIT_GROUP_BYTES
+        peak = _traced_peak(lambda: run_experiment(config).write(tmp_path))
+        assert peak < experiments._PORTRAIT_GROUP_BYTES + 1_000_000, (peak, records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=st.tuples(st.integers(1, 6), st.integers(1, 6)), steps=st.integers(0, 50),
+           kappa=st.sampled_from([0.0, 2.5, 6.0]), data=st.data())
+    def test_grouped_portrait_rows_have_the_bits_of_one_call(self, grid, steps, kappa, data):
+        # a portrait steps one group of trajectories at a time; any slice,
+        # within a group or across its edges, holds the bytes of the same
+        # rows of one phase_portrait call over all the starts
+        thetas, phis = grid_centers(*grid)
+        initials = np.array([(theta, phi) for theta in thetas for phi in phis])
+        whole = phase_portrait(initials, KickParams(kappa), steps)
+        group = data.draw(st.integers(1, len(initials)), label="group")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_PORTRAIT_GROUP_BYTES",
+                          group * (steps + 1) * PORTRAIT_DTYPE.itemsize)
+            rows = _PortraitRows(initials, KickParams(kappa), steps)
+        assert rows.group == group and len(rows) == whole.size
+        assert rows[:].tobytes() == whole.tobytes()
+        for _ in range(3):
+            lo = data.draw(st.integers(0, whole.size), label="lo")
+            hi = data.draw(st.integers(lo, whole.size), label="hi")
+            assert rows[lo:hi].tobytes() == whole[lo:hi].tobytes()
 
     @pytest.mark.parametrize("special", [",", '"', "\r", "\n"],
                              ids=["comma", "quote", "cr", "lf"])
@@ -735,17 +783,19 @@ class TestDatasetOutput:
         assert list(tmp_path.iterdir()) == []
 
     @needs_fork
-    @pytest.mark.parametrize("rows_kind", ["array", "list"])
-    @pytest.mark.parametrize("offset", [-1, 0, 1, "3-row tail"],
-                             ids=["under", "at", "over", "short-tail"])
-    def test_split_render_has_the_bytes_of_one_process(self, tmp_path, monkeypatch, rows_kind,
-                                                       offset):
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_split_render_has_the_bytes_of_one_process(self, tmp_path, monkeypatch, case):
         # from _SPLIT_WRITE_FIELDS fields on, a second CPU renders the later
         # rows; row counts just under and over that, none a whole number of
         # chunks, must give the bytes of one process.  The worker's last
         # chunk of 3 rows is smaller than a file buffer, so it reaches the
-        # file only if the worker flushes before it exits.
+        # file only if the worker flushes before it exits.  A portrait's
+        # worker steps the groups its rows fall in, here a last group
+        # shorter than the others.
+        rows_kind, offset = SPLIT_CASES[case]
         ds = _render_probe(rows_kind, offset)
+        if rows_kind == "portrait":
+            assert len(ds.meta["initials"]) % ds.rows.group != 0
         forks = _count_forks(monkeypatch)
         _on_cpus(monkeypatch, 1)
         one = ds.write(tmp_path / "one")[0].read_bytes()
