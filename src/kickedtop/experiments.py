@@ -824,10 +824,14 @@ class _PortraitRows:
 def _run_lyapunov(config: ExperimentConfig) -> Dataset:
     estimate = benettin_lyapunov(SphericalPoint(*config.center), KickParams(config.kappa),
                                  config.n_blocks, config.steps_per_block)
-    rows = list(enumerate(estimate.block_series.tolist(), start=1))
+    # one (int64, float64) array; Dataset.write makes row tuples a chunk at a time
+    rows = np.empty(config.n_blocks, dtype=[("block", np.int64), ("lambda_running", np.float64)])
+    rows["block"] = 1
+    np.cumsum(rows["block"], out=rows["block"])  # 1..n in place, with no arange beside it
+    rows["lambda_running"] = estimate.block_series
     meta = _meta(config, "kappa", "center", "n_blocks", "steps_per_block",
                  **{"lambda": estimate.lam})
-    return Dataset(config.kind, ("block", "lambda_running"), rows, meta)
+    return Dataset(config.kind, rows.dtype.names, rows, meta)
 
 
 def _run_entropy_dynamics(config: ExperimentConfig) -> Dataset:

@@ -30,7 +30,6 @@ from .classical import (
 
 __all__ = [
     "DegenerateTangentError",
-    "TangentFrame",
     "LyapunovEstimate",
     "jacobian",
     "initial_tangent_frame",
@@ -52,14 +51,6 @@ _CHUNK_STEPS = 4096
 
 class DegenerateTangentError(KickedTopError):
     """Raised when a tangent-vector norm underflows or overflows during reorthonormalisation."""
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Pair of tangent vectors attached to a point on the sphere."""
-
-    w1: np.ndarray
-    w2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,10 +95,11 @@ def jacobian(state, params: KickParams) -> np.ndarray:
     return out
 
 
-def initial_tangent_frame(point: SphericalPoint) -> TangentFrame:
-    """Orthonormal tangent pair at a spherical point.
+def initial_tangent_frame(point: SphericalPoint) -> np.ndarray:
+    """Orthonormal tangent pair at a spherical point, as the columns of a (3, 2) array.
 
-    w1 points along increasing theta, w2 along decreasing phi:
+    w1 (column 0) points along increasing theta, w2 (column 1) along
+    decreasing phi:
         w1 = (cos t cos p, cos t sin p, -sin t)
         w2 = (sin p, -cos p, 0)
     Rejects points within 1e-8 of a pole, where the frame is undefined.
@@ -119,24 +111,18 @@ def initial_tangent_frame(point: SphericalPoint) -> TangentFrame:
         )
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    w1 = np.array([ct * cp, ct * sp, -st])
-    w2 = np.array([sp, -cp, 0.0])
-    return TangentFrame(w1=w1, w2=w2)
+    return np.array([[ct * cp, sp], [ct * sp, -cp], [-st, 0.0]])
 
 
-def _norm(column: np.ndarray) -> float:
-    """Euclidean norm with the bits of np.linalg.norm, without its dispatch.
+def _checked_norm(w: np.ndarray, col: int, block: int) -> float:
+    """Norm of tangent column `col`; DegenerateTangentError if it overflowed or underflowed.
 
-    np.linalg.norm takes sqrt(x.dot(x)) of the raveled, contiguous copy;
-    this is the same dot on the same copy, then the same IEEE sqrt.
+    The bits of np.linalg.norm without its dispatch: sqrt of the dot of
+    a contiguous copy of the column, as np.linalg.norm takes it.
     """
-    c = column.copy()
-    return math.sqrt(c.dot(c))
-
-
-def _tangent_norm(column: np.ndarray, which: str, block: int) -> float:
-    """_norm of a tangent column; DegenerateTangentError if it overflowed or underflowed."""
-    norm = _norm(column)
+    c = w[:, col].copy()
+    norm = math.sqrt(c.dot(c))
+    which = ("leading", "second")[col]
     if not math.isfinite(norm):
         raise DegenerateTangentError(
             f"{which} tangent norm is {norm!r} at block {block}: the tangent product overflowed"
@@ -157,25 +143,25 @@ def benettin_lyapunov(
     The reference orbit starts at `start`; the tangent pair starts as the
     local (theta, phi) frame.  Norms are taken in the Euclidean metric of the
     embedding space.  The reference orbit and its Jacobians are built in
-    chunks; the tangent pair then advances by one 3x3 . 3x2 np.dot per step,
-    kept because a hand-written product would round differently from BLAS
-    and change the output bytes.  A tangent norm that underflows, or that
-    leaves float64 (a huge kappa or a very long block), raises
+    chunks; the tangent pair then advances by one 3x3 . 3x2 `jac.dot` per
+    step, kept because a hand-written product would round differently from
+    BLAS and change the output bytes.  Each block's leading norm is stored,
+    and their logs are summed into the block series after the loop.  A
+    tangent norm that underflows at a block's end, or a pair that leaves
+    float64 (a huge kappa or a very long block) by a chunk's end, raises
     DegenerateTangentError naming the block.
     """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     if steps_per_block < 1:
         raise ValueError(f"steps_per_block must be >= 1, got {steps_per_block}")
-    frame = initial_tangent_frame(start)
+    w = initial_tangent_frame(start)
     state = spherical_to_cartesian(start)
-    w = np.column_stack([frame.w1, frame.w2])
     remaining = n_blocks * steps_per_block
     block, left = 0, steps_per_block  # left: steps still to apply in this block
-    log_sum = 0.0
-    block_series = np.empty(n_blocks)
-    # an overflow in the Jacobians or the tangent product reaches the block's
-    # norms as inf or NaN, and _tangent_norm reports it there
+    alphas = np.empty(n_blocks)
+    # an overflow in the Jacobians or the tangent product reaches the pair
+    # as inf or NaN, which _checked_norm reports
     with np.errstate(over="ignore", invalid="ignore"):
         while remaining:
             # chunk edges fall anywhere within a block: the orbit continues
@@ -184,19 +170,21 @@ def benettin_lyapunov(
             path = evolve_trajectory(state, params, chunk)
             state = path[-1]
             remaining -= chunk
-            # np.dot makes the same BLAS call as @, without the ufunc dispatch
             for jac in jacobian(path[:-1], params):
-                w = np.dot(jac, w)
+                w = jac.dot(w)  # the BLAS call of np.dot and @, without their dispatch
                 left -= 1
                 if left:
                     continue
-                alpha = _tangent_norm(w[:, 0], "leading", block)
+                alphas[block] = alpha = _checked_norm(w, 0, block)
                 w[:, 0] /= alpha
                 w[:, 1] -= (w[:, 0] @ w[:, 1]) * w[:, 0]
-                w[:, 1] /= _tangent_norm(w[:, 1], "second", block)
-                log_sum += np.log(alpha)
-                block_series[block] = log_sum / ((block + 1) * steps_per_block)
+                w[:, 1] /= _checked_norm(w, 1, block)
                 block, left = block + 1, steps_per_block
+            # a pair that left float64 never comes back: report it now, not
+            # at the end of a block that may be millions of steps away
+            for col in np.flatnonzero(~np.isfinite(w).all(axis=0)):
+                _checked_norm(w, col, block)  # a non-finite column's norm is inf or NaN
+    block_series = np.cumsum(np.log(alphas)) / (np.arange(1, n_blocks + 1) * steps_per_block)
     return LyapunovEstimate(
         lam=float(block_series[-1]),
         block_series=block_series,

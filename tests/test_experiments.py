@@ -20,6 +20,7 @@ from kickedtop import (
     Dataset,
     ExperimentConfig,
     KickParams,
+    LyapunovEstimate,
     NotEquilibratedError,
     PORTRAIT_DTYPE,
     SphericalPoint,
@@ -609,12 +610,14 @@ SMALL_CONFIGS = {
 }
 
 
-# every kind's rows, and a portrait (array rows) and a lyapunov run (a
-# tuple list) longer than one write chunk: 5,025 and 5,000 rows
+# every kind's rows, and a portrait and a lyapunov run (array rows) and an
+# entropy-dynamics run (a tuple list) longer than one write chunk: 5,025,
+# 5,000 and 1,101 rows
 WRITER_CONFIGS = {
     **{kind: dict(kind=kind, **cfg) for kind, cfg in SMALL_CONFIGS.items()},
     "portrait-multi-chunk": dict(kind="phase-portrait", kappa=2.5, grid=(5, 5), steps=200),
     "lyapunov-multi-chunk": dict(kind="lyapunov", kappa=6.0, n_blocks=5000, steps_per_block=2),
+    "entropy-dynamics-multi-chunk": dict(kind="entropy-dynamics", kappa=2.5, j=0.5, steps=1100),
 }
 
 # the native field types no runner writes
@@ -631,7 +634,7 @@ def _render_probe(rows_kind: str, offset) -> Dataset:
 
     offset "3-row tail" asks for at least one more chunk, whose last one
     has 3 rows.  "array" rows are portrait records (seven columns), "list"
-    rows (int, float) tuples, as a Lyapunov run writes.  "portrait" is a
+    rows (int, float) tuples, as an mi-dynamics run writes.  "portrait" is a
     phase-portrait run of 100 trajectories (140,700 fields) whatever the
     offset: its default group of 93 trajectories does not divide them.
     """
@@ -750,6 +753,18 @@ class TestDatasetOutput:
         assert records >= 8 * experiments._PORTRAIT_GROUP_BYTES
         peak = _traced_peak(lambda: run_experiment(config).write(tmp_path))
         assert peak < experiments._PORTRAIT_GROUP_BYTES + 1_000_000, (peak, records)
+
+    def test_lyapunov_rows_take_16_bytes_a_row(self, monkeypatch):
+        # a 100,000-block run's (block, lambda) tuples took about 11 MiB;
+        # its (int64, float64) rows take 1.6 MB
+        series = np.linspace(1.0, 0.5, 100_000)
+        estimate = LyapunovEstimate(lam=float(series[-1]), block_series=series, n=100_000, s=1)
+        monkeypatch.setattr(experiments, "benettin_lyapunov", lambda *args: estimate)
+        config = ExperimentConfig("lyapunov", kappa=6.0, n_blocks=100_000, steps_per_block=1)
+        assert _traced_peak(lambda: run_experiment(config)) < 2 * 2**20
+        rows = run_experiment(config).rows
+        assert rows.dtype == [("block", np.int64), ("lambda_running", np.float64)]
+        assert rows[:].tolist() == list(enumerate(series.tolist(), start=1))
 
     @settings(max_examples=40, deadline=None)
     @given(grid=st.tuples(st.integers(1, 6), st.integers(1, 6)), steps=st.integers(0, 50),

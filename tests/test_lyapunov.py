@@ -1,18 +1,23 @@
 """Tests for the tangent-space Lyapunov estimator."""
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from kickedtop import (
     DegenerateTangentError,
+    ExperimentConfig,
     KickParams,
     SphericalPoint,
     benettin_lyapunov,
     classical_step,
     initial_tangent_frame,
     jacobian,
+    run_experiment,
     spherical_to_cartesian,
 )
 from kickedtop import lyapunov
@@ -48,9 +53,8 @@ def stepwise_block_series(start, params, n_blocks, steps_per_block):
     The chunked kernel must reproduce this bit for bit; the tangent update
     is the same 3x3 @ 3x2 matmul, so both round identically.
     """
-    frame = initial_tangent_frame(start)
+    w = initial_tangent_frame(start)
     state = spherical_to_cartesian(start)
-    w = np.column_stack([frame.w1, frame.w2])
     log_sum = 0.0
     series = np.empty(n_blocks)
     for block in range(n_blocks):
@@ -115,25 +119,26 @@ class TestJacobian:
 class TestInitialTangentFrame:
     def test_equatorial_frame(self):
         frame = initial_tangent_frame(SphericalPoint(np.pi / 2, 0.0))
-        np.testing.assert_allclose(frame.w1, [0.0, 0.0, -1.0], atol=1e-15)
-        np.testing.assert_allclose(frame.w2, [0.0, -1.0, 0.0], atol=1e-15)
+        assert frame.shape == (3, 2) and frame.flags.c_contiguous
+        np.testing.assert_allclose(frame[:, 0], [0.0, 0.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(frame[:, 1], [0.0, -1.0, 0.0], atol=1e-15)
 
     def test_oblique_frame(self):
         frame = initial_tangent_frame(SphericalPoint(3 * np.pi / 4, 3 * np.pi / 4))
-        np.testing.assert_allclose(frame.w1, [0.5, -0.5, -SQ2], atol=1e-12)
-        np.testing.assert_allclose(frame.w2, [SQ2, SQ2, 0.0], atol=1e-12)
+        np.testing.assert_allclose(frame[:, 0], [0.5, -0.5, -SQ2], atol=1e-12)
+        np.testing.assert_allclose(frame[:, 1], [SQ2, SQ2, 0.0], atol=1e-12)
 
     def test_orthonormal_and_tangent(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             point = SphericalPoint(rng.uniform(0.1, np.pi - 0.1), rng.uniform(0, 2 * np.pi))
-            frame = initial_tangent_frame(point)
-            assert abs(np.dot(frame.w1, frame.w2)) < 1e-12
-            assert abs(np.linalg.norm(frame.w1) - 1.0) < 1e-12
-            assert abs(np.linalg.norm(frame.w2) - 1.0) < 1e-12
+            w1, w2 = initial_tangent_frame(point).T
+            assert abs(np.dot(w1, w2)) < 1e-12
+            assert abs(np.linalg.norm(w1) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(w2) - 1.0) < 1e-12
             radial = spherical_to_cartesian(point)
-            assert abs(np.dot(frame.w1, radial)) < 1e-12
-            assert abs(np.dot(frame.w2, radial)) < 1e-12
+            assert abs(np.dot(w1, radial)) < 1e-12
+            assert abs(np.dot(w2, radial)) < 1e-12
 
     @pytest.mark.parametrize("theta", [0.0, np.pi, 1e-9, np.pi - 1e-9])
     def test_rejects_poles(self, theta):
@@ -152,7 +157,7 @@ class TestInitialTangentFrame:
     def test_finite_orthonormal_frame_just_outside_tolerance(self, distance, south, phi):
         point = SphericalPoint(np.pi - distance if south else distance, phi)
         frame = initial_tangent_frame(point)
-        basis = np.array([frame.w1, frame.w2, spherical_to_cartesian(point)])
+        basis = np.array([frame[:, 0], frame[:, 1], spherical_to_cartesian(point)])
         assert np.all(np.isfinite(basis))
         np.testing.assert_allclose(basis @ basis.T, np.eye(3), rtol=0, atol=1e-12)
 
@@ -214,9 +219,8 @@ class TestBenettin:
         # and so outgrow a direction that shrinks as exp(-lambda n))
         params = KickParams(6.0)
         point = SphericalPoint(3 * np.pi / 4, 3 * np.pi / 4)
-        frame = initial_tangent_frame(point)
+        w = initial_tangent_frame(point)
         state = spherical_to_cartesian(point)
-        w = np.column_stack([frame.w1, frame.w2])
         worst = 0.0
         for _ in range(30):
             for _ in range(10):
@@ -263,6 +267,63 @@ class TestBenettin:
         np.testing.assert_array_equal(
             est.block_series, stepwise_block_series(start, params, 40, 10)
         )
+
+    @settings(deadline=None, max_examples=60)
+    @given(theta=st.floats(0.05, np.pi - 0.05), phi=st.floats(0.0, 2 * np.pi),
+           kappa=st.floats(0.0, 8.0), n_blocks=st.integers(1, 30),
+           steps_per_block=st.integers(1, 40), chunk=st.integers(1, 64))
+    def test_drawn_runs_match_stepwise_loop_bit_for_bit(self, theta, phi, kappa, n_blocks,
+                                                        steps_per_block, chunk):
+        # chunk edges fall at any offset within a block, and the series is
+        # built from the stored norms after the loop
+        start, params = SphericalPoint(theta, phi), KickParams(kappa)
+        with mock.patch.object(lyapunov, "_CHUNK_STEPS", chunk):
+            try:
+                est = benettin_lyapunov(start, params, n_blocks, steps_per_block)
+            except DegenerateTangentError:
+                # a block that stretches by about 1e16 folds the pair onto
+                # one line (36 steps at kappa=5.54 did), which the oracle
+                # would divide by
+                reject()
+        np.testing.assert_array_equal(
+            est.block_series, stepwise_block_series(start, params, n_blocks, steps_per_block)
+        )
+
+    def test_overflow_is_reported_in_the_chunk_where_it_happens(self, monkeypatch):
+        # at kappa=6 from the CLI's default centre the pair leaves float64
+        # near step 752; the block's end, where the norms are taken, is 245
+        # chunks further on
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evolve_trajectory(*args)
+
+        evolve_trajectory = lyapunov.evolve_trajectory
+        monkeypatch.setattr(lyapunov, "evolve_trajectory", counted)
+        with pytest.raises(DegenerateTangentError, match="^leading tangent norm is nan at "
+                           "block 0: the tangent product overflowed$"):
+            benettin_lyapunov(SphericalPoint(3 * np.pi / 4, 3 * np.pi / 4), KickParams(6.0), 1,
+                              10**6)
+        assert len(calls) <= 2
+
+    def test_kernels_are_looked_up_at_call_time(self, monkeypatch):
+        # perfbench's tracer wraps jacobian on this module in place; a name
+        # bound anywhere else would bypass the wrapper and read 0 calls
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("jacobian", "evolve_trajectory"):
+            monkeypatch.setattr(lyapunov, name, counted(name, getattr(lyapunov, name)))
+        monkeypatch.setattr(lyapunov, "_CHUNK_STEPS", 7)
+        run_experiment(ExperimentConfig("lyapunov", kappa=6.0, n_blocks=40, steps_per_block=10))
+        chunks = -(-400 // 7)
+        assert counts == {"jacobian": chunks, "evolve_trajectory": chunks}
 
     @pytest.mark.parametrize("kappa", [1e17, 1e308])
     def test_overflowing_tangent_is_reported_at_its_block(self, kappa):
