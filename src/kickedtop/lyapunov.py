@@ -1,13 +1,13 @@
 """Largest Lyapunov exponent of the classical map via tangent-space evolution.
 
-Tangent vectors ride along a reference trajectory, multiplied each period by
-the Jacobian of the map evaluated at the pre-step point.  Every s steps the
-pair is Gram-Schmidt reorthonormalised and the log of the leading norm is
-accumulated; the estimate after n blocks is
+One tangent vector rides along a reference trajectory, multiplied each
+period by the Jacobian of the map at the pre-step point.  Every s steps it is
+renormalised and the log of its norm accumulated (Benettin et al., Meccanica
+15, 9 (1980)); the estimate after n blocks is
 
     lambda(n, s) = (1 / (n s)) * sum_i ln(alpha_i)
 
-with alpha_i the pre-normalisation length of the leading vector at block i.
+with alpha_i the vector's length at the end of block i, before renormalising.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ __all__ = [
     "benettin_lyapunov",
 ]
 
-# Underflow guard: Gram-Schmidt norms below this mean the tangent frame has
-# collapsed and the ln(alpha) accumulation is meaningless.
+# Underflow guard: a block-end tangent norm below this has collapsed, and the
+# ln(alpha) accumulation is meaningless.
 _NORM_FLOOR = 1e-300
 
 # Initial points closer to a pole than this have no well-defined coordinate
@@ -50,7 +50,7 @@ _CHUNK_STEPS = 4096
 
 
 class DegenerateTangentError(KickedTopError):
-    """Raised when a tangent-vector norm underflows or overflows during reorthonormalisation."""
+    """Raised when the tangent vector's norm underflows or overflows."""
 
 
 @dataclass(frozen=True)
@@ -114,21 +114,18 @@ def initial_tangent_frame(point: SphericalPoint) -> np.ndarray:
     return np.array([[ct * cp, sp], [ct * sp, -cp], [-st, 0.0]])
 
 
-def _checked_norm(w: np.ndarray, col: int, block: int) -> float:
-    """Norm of tangent column `col`; DegenerateTangentError if it overflowed or underflowed.
+def _checked_norm(w: np.ndarray, block: int) -> float:
+    """np.linalg.norm of tangent column 0 without its dispatch: sqrt of a contiguous copy's dot.
 
-    The bits of np.linalg.norm without its dispatch: sqrt of the dot of
-    a contiguous copy of the column, as np.linalg.norm takes it.
-    """
-    c = w[:, col].copy()
+    DegenerateTangentError if it overflowed or underflowed."""
+    c = w[:, 0].copy()
     norm = math.sqrt(c.dot(c))
-    which = ("leading", "second")[col]
     if not math.isfinite(norm):
         raise DegenerateTangentError(
-            f"{which} tangent norm is {norm!r} at block {block}: the tangent product overflowed"
+            f"leading tangent norm is {norm!r} at block {block}: the tangent product overflowed"
         )
     if not norm > _NORM_FLOOR:
-        raise DegenerateTangentError(f"{which} tangent norm {norm!r} underflowed at block {block}")
+        raise DegenerateTangentError(f"leading tangent norm {norm!r} underflowed at block {block}")
     return norm
 
 
@@ -140,15 +137,15 @@ def benettin_lyapunov(
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent from n_blocks blocks of steps_per_block steps.
 
-    The reference orbit starts at `start`; the tangent pair starts as the
-    local (theta, phi) frame.  Norms are taken in the Euclidean metric of the
+    The reference orbit starts at `start`; the tangent vector starts as
+    column 0 of initial_tangent_frame(start).  Norms are Euclidean in the
     embedding space.  The reference orbit and its Jacobians are built in
-    chunks; the tangent pair then advances by one 3x3 . 3x2 `jac.dot` per
-    step, kept because a hand-written product would round differently from
-    BLAS and change the output bytes.  Each block's leading norm is stored,
-    and their logs are summed into the block series after the loop.  A
-    tangent norm that underflows at a block's end, or a pair that leaves
-    float64 (a huge kappa or a very long block) by a chunk's end, raises
+    chunks; the vector then advances by one 3x3 . 3x2 `jac.dot` per step,
+    kept because a hand-written product would round differently from BLAS
+    and change the output bytes.  Each block's norm is stored, and their
+    logs are summed into the block series after the loop.  A norm that
+    underflows at a block's end, or a vector that leaves float64 (a huge
+    kappa or a very long block) by a chunk's end, raises
     DegenerateTangentError naming the block.
     """
     if n_blocks < 1:
@@ -156,11 +153,15 @@ def benettin_lyapunov(
     if steps_per_block < 1:
         raise ValueError(f"steps_per_block must be >= 1, got {steps_per_block}")
     w = initial_tangent_frame(start)
+    # Column 1 is zeroed once and never read: the (3, 2) shape keeps the product
+    # OpenBLAS's small dgemm, which computes each output column on its own, so
+    # column 0 keeps its bits; a (3, 1) or (3,) operand would go to gemv.
+    w[:, 1] = 0.0
     state = spherical_to_cartesian(start)
     remaining = n_blocks * steps_per_block
     block, left = 0, steps_per_block  # left: steps still to apply in this block
     alphas = np.empty(n_blocks)
-    # an overflow in the Jacobians or the tangent product reaches the pair
+    # an overflow in the Jacobians or the tangent product reaches the vector
     # as inf or NaN, which _checked_norm reports
     with np.errstate(over="ignore", invalid="ignore"):
         while remaining:
@@ -175,15 +176,13 @@ def benettin_lyapunov(
                 left -= 1
                 if left:
                     continue
-                alphas[block] = alpha = _checked_norm(w, 0, block)
+                alphas[block] = alpha = _checked_norm(w, block)
                 w[:, 0] /= alpha
-                w[:, 1] -= (w[:, 0] @ w[:, 1]) * w[:, 0]
-                w[:, 1] /= _checked_norm(w, 1, block)
                 block, left = block + 1, steps_per_block
-            # a pair that left float64 never comes back: report it now, not
-            # at the end of a block that may be millions of steps away
-            for col in np.flatnonzero(~np.isfinite(w).all(axis=0)):
-                _checked_norm(w, col, block)  # a non-finite column's norm is inf or NaN
+            # a vector that left float64 never comes back: report it now,
+            # not at the end of a block that may be millions of steps away
+            if not np.isfinite(w[:, 0]).all():
+                _checked_norm(w, block)  # its norm is inf or NaN
     block_series = np.cumsum(np.log(alphas)) / (np.arange(1, n_blocks + 1) * steps_per_block)
     return LyapunovEstimate(
         lam=float(block_series[-1]),

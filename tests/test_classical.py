@@ -204,6 +204,13 @@ class TestPhasePortrait:
         assert set(records["traj_id"]) == {0, 1}
         np.testing.assert_array_equal(records["step"][:4], [0, 1, 2, 3])
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_rejects_negative_steps(self, count):
+        # one start steps through evolve_trajectory, which refuses them;
+        # a batch used to return no records for steps=-1
+        with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
+            phase_portrait([(1.0, 2.0)] * count, KickParams(2.5), -1)
+
     def test_fixed_point_initial_gives_identical_points(self):
         # (theta, phi) = (pi/2, pi/2) is the +y fixed point; it is elliptic
         # for kappa < 2, so the rounding in cos(pi/2) stays at roundoff size

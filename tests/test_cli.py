@@ -82,6 +82,16 @@ class TestSuccessPaths:
         assert code == 0
         assert "lambda=" in captured.out
 
+    def test_lyapunov_runs_blocks_that_fold_a_tangent_pair(self, tmp_path, capsys):
+        # a 40-step block at kappa=6 stretches by more than 1e16; the
+        # Gram-Schmidt pair collapsed there and the run exited 1 with
+        # "second tangent norm 0.0 underflowed at block 26"
+        argv = "lyapunov --kappa 6 --n-blocks 100 --steps-per-block 40".split()
+        code = main(argv + ["--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.startswith("lyapunov: lambda=0.950945 ")
+
     def test_window_flag_reaches_metadata(self, tmp_path, capsys):
         code = main(
             [

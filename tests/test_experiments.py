@@ -37,7 +37,7 @@ from kickedtop import (
     spherical_to_cartesian,
     thermo_limit_entropy,
 )
-from kickedtop import bipartite, experiments
+from kickedtop import bipartite, classical, experiments
 from kickedtop.experiments import (
     _DEFAULTS,
     _REQUIRED,
@@ -753,6 +753,25 @@ class TestDatasetOutput:
         assert records >= 8 * experiments._PORTRAIT_GROUP_BYTES
         peak = _traced_peak(lambda: run_experiment(config).write(tmp_path))
         assert peak < experiments._PORTRAIT_GROUP_BYTES + 1_000_000, (peak, records)
+
+    def test_lone_trajectories_step_through_evolve_trajectory(self, tmp_path, monkeypatch,
+                                                              one_cpu):
+        # a trajectory too long to share its group steps alone, through
+        # evolve_trajectory's scalar loop rather than a batch of one, and
+        # writes the bytes of the batched run
+        config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(3, 2), steps=300)
+        batched = run_experiment(config).write(tmp_path / "batched")
+
+        def refuse(*args):
+            raise AssertionError("classical_step stepped a lone trajectory")
+
+        monkeypatch.setattr(experiments, "_PORTRAIT_GROUP_BYTES", 301 * PORTRAIT_DTYPE.itemsize)
+        monkeypatch.setattr(classical, "classical_step", refuse)
+        dataset = run_experiment(config)
+        assert dataset.rows.group == 1
+        alone = dataset.write(tmp_path / "alone")
+        for one, other in zip(batched, alone):
+            assert one.read_bytes() == other.read_bytes()
 
     def test_lyapunov_rows_take_16_bytes_a_row(self, monkeypatch):
         # a 100,000-block run's (block, lambda) tuples took about 11 MiB;
