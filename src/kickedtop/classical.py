@@ -177,30 +177,19 @@ def phase_portrait(initials, params: KickParams, steps: int) -> np.ndarray:
 
     initials: sequence of (theta, phi) pairs, or a (count, 2) array of
     them.  Returns a structured array with fields traj_id, step, theta,
-    phi, x, y, z, ordered by trajectory and then by step.  All trajectories
-    advance together as one batch, so each one equals evolve_trajectory
-    from its start; a single start steps through evolve_trajectory itself,
-    which is faster than a batch of one.  The records are filled in place
-    and are the only array of their size the call makes.
+    phi, x, y, z, ordered by trajectory and then by step.  Each trajectory
+    is evolve_trajectory from its start, which has the bits of stepping
+    classical_step.  The records are filled in place and are the only
+    array of their size the call makes.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     angles = np.asarray(initials, dtype=np.float64).reshape(len(initials), 2)
     count = angles.shape[0]
     records = np.empty((count, steps + 1), dtype=PORTRAIT_DTYPE)
     records["traj_id"] = np.arange(count)[:, None]
     records["step"] = np.arange(steps + 1)
     x, y, z = records["x"], records["y"], records["z"]
-    state = spherical_to_cartesian(angles)
-    if count == 1:
-        x[0], y[0], z[0] = evolve_trajectory(state[0], params, steps).T
-    else:
-        for t in range(steps + 1):
-            if t:
-                state = classical_step(state, params)
-            x[:, t] = state[:, 0]
-            y[:, t] = state[:, 1]
-            z[:, t] = state[:, 2]
+    for i, start in enumerate(spherical_to_cartesian(angles)):
+        x[i], y[i], z[i] = evolve_trajectory(start, params, steps).T
     records = records.reshape(-1)
     for start in range(0, records.size, _ANGLE_BLOCK_ROWS):
         block = records[start:start + _ANGLE_BLOCK_ROWS]

@@ -762,9 +762,8 @@ def _run_phase_portrait(config: ExperimentConfig) -> Dataset:
 
 # bytes of records a portrait holds at a time: its rows are computed one
 # group of consecutive trajectories at a time, as many as fit (at least
-# one).  A smaller group steps fewer trajectories per classical_step call:
-# on a 2-core Xeon, 512 KiB and 256 KiB made a 400-trajectory, 2000-step
-# portrait 25 % and 67 % slower, where 1 MiB matched one batch
+# one).  Each trajectory steps alone, so the group sets the memory held,
+# not the stepping rate
 _PORTRAIT_GROUP_BYTES = 1 << 20
 
 
@@ -774,10 +773,10 @@ class _PortraitRows:
     A Dataset row source: len() is the row count, and a contiguous slice
     gives those rows as a PORTRAIT_DTYPE array.  A group is one
     phase_portrait call on its starts, with traj_id offset by its first
-    trajectory.  Stepping a batch and the angle ufuncs work element by
-    element, so the rows have the bits of one call over all starts.  Only
-    the current group is held.  Group 0 is computed here, so an
-    allocation numpy refuses fails before anything is written.
+    trajectory.  Each trajectory steps alone and the angle ufuncs work
+    element by element, so the rows have the bits of one call over all
+    starts.  Only the current group is held.  Group 0 is computed here, so
+    an allocation numpy refuses fails before anything is written.
     """
 
     def __init__(self, initials: np.ndarray, params: KickParams, steps: int):

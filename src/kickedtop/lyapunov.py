@@ -153,9 +153,9 @@ def benettin_lyapunov(
     if steps_per_block < 1:
         raise ValueError(f"steps_per_block must be >= 1, got {steps_per_block}")
     w = initial_tangent_frame(start)
-    # Column 1 is zeroed once and never read: the (3, 2) shape keeps the product
-    # OpenBLAS's small dgemm, which computes each output column on its own, so
-    # column 0 keeps its bits; a (3, 1) or (3,) operand would go to gemv.
+    # Column 1 is zeroed once and never written again.  It stays in the operand
+    # only to keep the product OpenBLAS's small dgemm, which computes each output
+    # column on its own, so column 0 keeps its bits; a (3, 1) operand goes to gemv.
     w[:, 1] = 0.0
     state = spherical_to_cartesian(start)
     remaining = n_blocks * steps_per_block

@@ -206,7 +206,7 @@ class TestPhasePortrait:
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_rejects_negative_steps(self, count):
-        # one start steps through evolve_trajectory, which refuses them;
+        # every start steps through evolve_trajectory, which refuses them;
         # a batch used to return no records for steps=-1
         with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
             phase_portrait([(1.0, 2.0)] * count, KickParams(2.5), -1)

@@ -757,8 +757,8 @@ class TestDatasetOutput:
     def test_lone_trajectories_step_through_evolve_trajectory(self, tmp_path, monkeypatch,
                                                               one_cpu):
         # a trajectory too long to share its group steps alone, through
-        # evolve_trajectory's scalar loop rather than a batch of one, and
-        # writes the bytes of the batched run
+        # evolve_trajectory's scalar loop, and writes the bytes of a run
+        # whose groups hold all trajectories
         config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(3, 2), steps=300)
         batched = run_experiment(config).write(tmp_path / "batched")
 
