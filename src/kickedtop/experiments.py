@@ -1,11 +1,11 @@
 """Experiment runners: named, reproducible computations with CSV output.
 
 run_experiment fills an ExperimentConfig's unset fields from its kind's
-row of _DEFAULTS; the kind's runner then turns it into a Dataset (fixed
-column schema plus a metadata dictionary).  The Dataset writes a CSV file
-and a .meta.json sidecar capturing every parameter, the seed, the package
-version, and the unit conventions, so a rerun of the same config is
-byte-identical.
+row of _DEFAULTS; the kind's runner then turns it into a Dataset (a
+structured array whose field names are the columns, plus a metadata
+dictionary).  The Dataset writes a CSV file and a .meta.json sidecar
+capturing every parameter, the seed, the package version, and the unit
+conventions, so a rerun of the same config is byte-identical.
 
 Analysis helpers shared by the runners live here as well: the
 equilibration-time estimator, the growth-rate fit, and the phase-space
@@ -581,7 +581,7 @@ def _checked(name: str, value, element: type, arity: str):
     """`value`, lists as tuples, if it has the field's element type and arity; ValueError otherwise.
 
     element is int or float (finite); arity is "scalar", "pair", "list" or
-    "pairs", a list of pairs (which only a config file sets).
+    "pairs", a non-empty list of pairs (which only a config file sets).
     """
     check, one, many = ((_is_int, "an integer", "integers") if element is int
                         else (_is_real, "a finite number", "finite numbers"))
@@ -592,10 +592,10 @@ def _checked(name: str, value, element: type, arity: str):
         ok, want = is_list and len(value) == 2 and all(map(check, value)), f"a pair of {many}"
     elif arity == "list":
         ok, want = is_list and len(value) > 0 and all(map(check, value)), f"a non-empty list of {many}"
-    elif is_list:  # a list of pairs
+    elif is_list and value:  # a non-empty list of pairs
         return tuple(_checked(name, point, element, "pair") for point in value)
     else:
-        ok, want = False, "a list of pairs"
+        ok, want = False, "a non-empty list of pairs"
     if not ok:
         raise ValueError(f"{name} must be {want}, got {value!r}")
     return tuple(value) if is_list else value
@@ -608,9 +608,8 @@ _WRITE_CHUNK_ROWS = 1024
 
 # fields (rows x columns) from which Dataset.write renders its rows in
 # several processes.  On a 2-core Xeon the split paid from about 17,000
-# fields of portrait records, and for (int, float) tuples, whose objects
-# the worker copies as it reads them, between 33,000 and 65,000 fields; a
-# fork and reap cost 4-6 ms
+# fields of portrait records, and from 20,000-36,000 (it moved between
+# runs) of (int64, float64) records; a fork and reap cost 4-6 ms
 _SPLIT_WRITE_FIELDS = 50_000
 
 # characters that make csv.writer quote a field under QUOTE_MINIMAL
@@ -621,25 +620,26 @@ _CSV_SPECIALS = ',"\r\n'
 class Dataset:
     """Tabular result of a run plus everything needed to reproduce it.
 
-    Row contract: each row is a tuple with one field per column (at least
-    two columns), and each field is a native int, float or bool, or a str
-    free of the CSV specials `,`, `"`, CR and LF.  The CSV then holds
-    exactly what csv.writer(lineterminator="\n") would write: str() of
-    each field, unquoted.  A row that would need quoting is refused.
-
-    `rows` is a list of such tuples, a 1-d structured array of int and
-    float fields, one per column, or a sequence (len() and contiguous
-    slices) whose slices are such arrays, as a phase-portrait's
-    _PortraitRows is.  write turns each chunk's slice into row tuples
-    (`_as_tuples`), so long rows never exist as Python objects all at
-    once.  Datasets compare by identity: `==` on array rows would be
-    ambiguous.
+    `rows` is a 1-d structured array, one field per column (at least two),
+    or a row source (len(), a `dtype`, and contiguous slices that are such
+    arrays), as a phase-portrait's _PortraitRows is; the dtype's field
+    names are the columns.  Each field is an int, float or bool, or a str
+    free of the CSV specials `,`, `"`, CR and LF.  write turns one chunk's
+    slice at a time into row tuples of native scalars (`.tolist()`), and
+    the CSV holds exactly what csv.writer(lineterminator="\n") would write
+    for them: str() of each field, unquoted.  A row that would need
+    quoting is refused.  Datasets compare by identity: `==` on array rows
+    would be elementwise.
     """
 
     kind: str
-    columns: tuple
-    rows: list | np.ndarray | _PortraitRows
+    rows: np.ndarray | _PortraitRows
     meta: dict
+
+    @property
+    def columns(self) -> tuple:
+        """The column names: the field names of the rows' dtype."""
+        return self.rows.dtype.names
 
     def write(self, outdir) -> tuple:
         """Write <kind>.csv and <kind>.meta.json under `outdir`; returns paths.
@@ -660,17 +660,18 @@ class Dataset:
         """
         meta_text = json.dumps(self.meta, allow_nan=False, indent=2, sort_keys=True,
                                default=_json_safe)
-        if len(self.columns) < 2:
+        columns = self.columns
+        if len(columns) < 2:
             # csv.writer quotes a lone empty field, which the checks below cannot see
-            raise ValueError(f"a dataset needs at least two columns, got {self.columns!r}")
+            raise ValueError(f"a dataset needs at least two columns, got {columns!r}")
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         csv_path = outdir / f"{self.kind}.csv"
         meta_path = outdir / f"{self.kind}.meta.json"
-        line = ",".join(["%s"] * len(self.columns)) + "\n"
+        line = ",".join(["%s"] * len(columns)) + "\n"
         rows = self.rows
         chunks = -(-len(rows) // _WRITE_CHUNK_ROWS)
-        parts = (_worker_count(chunks) if len(rows) * len(self.columns) >= _SPLIT_WRITE_FIELDS
+        parts = (_worker_count(chunks) if len(rows) * len(columns) >= _SPLIT_WRITE_FIELDS
                  else 1)
         bounds = [min(len(rows), chunks * w // parts * _WRITE_CHUNK_ROWS)
                   for w in range(parts + 1)]
@@ -678,13 +679,13 @@ class Dataset:
         def render(part):
             out, lo, hi = part
             for start in range(lo, hi, _WRITE_CHUNK_ROWS):
-                chunk = _as_tuples(rows[start:min(start + _WRITE_CHUNK_ROWS, hi)])
+                chunk = rows[start:min(start + _WRITE_CHUNK_ROWS, hi)].tolist()
                 out.write(_csv_text(line, chunk))
             out.flush()
 
         try:
             with open(csv_path, "w", newline="") as handle, contextlib.ExitStack() as temps:
-                handle.write(_csv_text(line, [tuple(self.columns)]))
+                handle.write(_csv_text(line, [columns]))
                 # unlinked, so a killed run leaves none behind
                 outs = [handle] + [temps.enter_context(tempfile.TemporaryFile(
                     "w+", newline="", dir=outdir)) for _ in range(parts - 1)]
@@ -699,11 +700,6 @@ class Dataset:
             csv_path.unlink(missing_ok=True)
             raise
         return csv_path, meta_path
-
-
-def _as_tuples(rows) -> list:
-    """Dataset rows as row tuples: `.tolist()` of an array (native ints and floats), a list as is."""
-    return rows.tolist() if isinstance(rows, np.ndarray) else rows
 
 
 def _csv_text(line: str, rows: list) -> str:
@@ -757,7 +753,7 @@ def _run_phase_portrait(config: ExperimentConfig) -> Dataset:
     rows = _PortraitRows(initials, KickParams(config.kappa), config.steps)
     meta = _meta(config, "kappa", "steps", initials=initials.tolist(),
                  note="grid defaults reconstruct the portrait; initials override it")
-    return Dataset(config.kind, PORTRAIT_DTYPE.names, rows, meta)
+    return Dataset(config.kind, rows, meta)
 
 
 # bytes of records a portrait holds at a time: its rows are computed one
@@ -778,6 +774,8 @@ class _PortraitRows:
     starts.  Only the current group is held.  Group 0 is computed here, so
     an allocation numpy refuses fails before anything is written.
     """
+
+    dtype = PORTRAIT_DTYPE
 
     def __init__(self, initials: np.ndarray, params: KickParams, steps: int):
         self.initials, self.params, self.steps = initials, params, steps
@@ -823,24 +821,22 @@ class _PortraitRows:
 def _run_lyapunov(config: ExperimentConfig) -> Dataset:
     estimate = benettin_lyapunov(SphericalPoint(*config.center), KickParams(config.kappa),
                                  config.n_blocks, config.steps_per_block)
-    # one (int64, float64) array; Dataset.write makes row tuples a chunk at a time
     rows = np.empty(config.n_blocks, dtype=[("block", np.int64), ("lambda_running", np.float64)])
     rows["block"] = 1
     np.cumsum(rows["block"], out=rows["block"])  # 1..n in place, with no arange beside it
     rows["lambda_running"] = estimate.block_series
     meta = _meta(config, "kappa", "center", "n_blocks", "steps_per_block",
                  **{"lambda": estimate.lam})
-    return Dataset(config.kind, rows.dtype.names, rows, meta)
+    return Dataset(config.kind, rows, meta)
 
 
 def _run_entropy_dynamics(config: ExperimentConfig) -> Dataset:
     state = coherent_state(config.j, *config.center)
     bloch = evolve_expectations(state, floquet_unitary(config.j, config.kappa), config.steps)
-    rows = [
-        (step, *r.tolist(), linear_entropy(r), von_neumann_entropy_single_spin(r))
-        for step, r in enumerate(bloch)
-    ]
-    s_lin = np.array([row[4] for row in rows])
+    s_lin = np.fromiter(map(linear_entropy, bloch), np.float64, len(bloch))
+    s_vn = np.fromiter(map(von_neumann_entropy_single_spin, bloch), np.float64, len(bloch))
+    rows = np.rec.fromarrays([np.arange(len(bloch)), *bloch.T, s_lin, s_vn],
+                             names="step,rx,ry,rz,s_linear,s_vn")
     meta = _meta(config, "kappa", "j", "steps", "center")
     try:
         teq = estimate_teq(s_lin)
@@ -849,15 +845,13 @@ def _run_entropy_dynamics(config: ExperimentConfig) -> Dataset:
     except NotEquilibratedError as exc:
         meta["teq"] = None
         meta["teq_note"] = str(exc)
-    return Dataset(
-        config.kind, ("step", "rx", "ry", "rz", "s_linear", "s_vn"), rows, meta
-    )
+    return Dataset(config.kind, rows, meta)
 
 
 def _run_mi_dynamics(config: ExperimentConfig) -> Dataset:
     start = _mi_start(config.center, config.spread1, config.j, config.count, config.seed)
     mi = _mi_series([start], KickParams(config.kappa), config.j, (0, config.steps), config.k)[0]
-    rows = list(enumerate(mi.tolist()))
+    rows = np.rec.fromarrays([np.arange(len(mi)), mi], names="step,mi")
     meta = _meta(config, "kappa", "j", "count", "steps", "center", "k", "spread1",
                  spread2=1.0 / config.j)
     try:
@@ -869,7 +863,7 @@ def _run_mi_dynamics(config: ExperimentConfig) -> Dataset:
         })
     except (NotEquilibratedError, WindowTooShortError, ValueError) as exc:
         meta["fit_note"] = str(exc)
-    return Dataset(config.kind, ("step", "mi"), rows, meta)
+    return Dataset(config.kind, rows, meta)
 
 
 def _run_teq_scaling(config: ExperimentConfig) -> Dataset:
@@ -878,7 +872,7 @@ def _run_teq_scaling(config: ExperimentConfig) -> Dataset:
         # a line through one distinct point is undetermined; polyfit would warn
         raise ValueError(f"teq-scaling needs at least two distinct j values, got {list(config.j_list)}")
     params = KickParams(config.kappa)
-    rows = []
+    teqs = []
     for index, j in enumerate(js):
         seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
         start = _mi_start(config.center, config.spread1, j, config.count, seed)
@@ -887,15 +881,16 @@ def _run_teq_scaling(config: ExperimentConfig) -> Dataset:
         if teq == 0:
             raise NotEquilibratedError(f"T_eq is 0 at j={j}: that series starts at its "
                                        "equilibrium level, so the log-log fit is undefined")
-        rows.append((j, teq))
+        teqs.append(teq)
+    rows = np.rec.fromarrays([js, teqs], names="j,teq")
     log_j = np.log(js)
-    teqs = np.array([teq for _, teq in rows], dtype=np.float64)
+    teqs = rows["teq"].astype(np.float64)
     loglog = np.polyfit(log_j, np.log(teqs), 1)
     linlog = np.polyfit(log_j, teqs, 1)
     meta = _meta(config, "kappa", "count", "steps", "center", "k", "spread1", j_list=js,
                  loglog_slope=float(loglog[0]), loglog_r2=_r_squared(log_j, np.log(teqs), loglog),
                  linlog_slope=float(linlog[0]), linlog_r2=_r_squared(log_j, teqs, linlog))
-    return Dataset(config.kind, ("j", "teq"), rows, meta)
+    return Dataset(config.kind, rows, meta)
 
 
 def _r_squared(x, y, coeffs) -> float:
@@ -916,41 +911,39 @@ def _run_map(config: ExperimentConfig) -> Dataset:
         raise ValueError(
             f"all {result.values.size} cells of the {config.kind} failed; {cells} with: {reason}"
         )
-    thetas = result.theta_centers.tolist()
-    phis = result.phi_centers.tolist()
-    n_phi = config.grid[1]
-    rows = [
-        (cell_index, thetas[cell_index // n_phi], phis[cell_index % n_phi], value)
-        for cell_index, value in enumerate(result.values.ravel().tolist())
-    ]
+    n_theta, n_phi = result.values.shape
+    rows = np.rec.fromarrays([np.arange(result.values.size), np.repeat(result.theta_centers, n_phi),
+                              np.tile(result.phi_centers, n_theta), result.values.ravel()],
+                             names="cell,theta,phi,value")
     # an entropy-map cell is one coherent state: it takes no count, and records 1
     meta = _meta(config, "kappa", "j", "grid", "window", "k", "spread1", count=config.count or 1,
                  spread2=None if config.kind == "entropy-map" else 1.0 / config.j,
                  failed_cells=[{"cell": c, "reason": reason} for c, reason in result.failures])
-    return Dataset(config.kind, ("cell", "theta", "phi", "value"), rows, meta)
+    return Dataset(config.kind, rows, meta)
 
 
 def _run_vn_vs_linear(config: ExperimentConfig) -> Dataset:
     # closed-form comparison of the two single-spin entropy measures
-    rows = []
-    for r in np.linspace(0.0, 1.0, 101).tolist():
-        bloch = np.array([0.0, 0.0, r])
-        rows.append((r, linear_entropy(bloch), von_neumann_entropy_single_spin(bloch)))
-    return Dataset(config.kind, ("bloch_norm", "s_linear", "s_vn"), rows, _meta(config))
+    blochs = np.zeros((101, 3))
+    blochs[:, 2] = np.linspace(0.0, 1.0, 101)
+    rows = np.rec.fromrecords(
+        [(r[2], linear_entropy(r), von_neumann_entropy_single_spin(r)) for r in blochs],
+        names="bloch_norm,s_linear,s_vn")
+    return Dataset(config.kind, rows, _meta(config))
 
 
 def _run_mi_selftest(config: ExperimentConfig) -> Dataset:
     rng = np.random.default_rng(config.seed)
-    rows = []
+    cases = []
     for rho in (0.0, 0.3, 0.6, 0.9):
         cov = [[1.0, rho], [rho, 1.0]]
         samples = rng.multivariate_normal([0.0, 0.0], cov, size=config.count)
         expected = -0.5 * np.log(1.0 - rho * rho)
         for k in (config.k, 10):
             est = ksg_mi(samples, k=k)
-            rows.append((f"gauss_rho_{rho}", rho, est.n, k, float(est.value), float(expected)))
-    meta = _meta(config, "count", "k")
-    return Dataset(config.kind, ("case", "rho", "n", "k", "estimate", "expected"), rows, meta)
+            cases.append((f"gauss_rho_{rho}", rho, est.n, k, float(est.value), float(expected)))
+    rows = np.rec.fromrecords(cases, names="case,rho,n,k,estimate,expected")
+    return Dataset(config.kind, rows, _meta(config, "count", "k"))
 
 
 EXPERIMENT_KINDS = {

@@ -45,7 +45,6 @@ from kickedtop.experiments import (
     _WRITE_CHUNK_ROWS,
     EXPERIMENT_KINDS,
     _PortraitRows,
-    _as_tuples,
     _forked,
     _map_values,
     _resolved,
@@ -444,7 +443,8 @@ class TestExperimentConfig:
         ("kappa", "x"), ("kappa", True), ("kappa", float("nan")), ("j", "100"),
         ("count", 2.5), ("steps", "5"), ("n_blocks", 1.0), ("steps_per_block", 2.5),
         ("seed", "a"), ("k", 3.0), ("grid", "ab"), ("grid", (2, 2.5)), ("window", (1, 2, 3)),
-        ("center", 3), ("j_list", ()), ("j_list", (25, "a")), ("initials", ((0.3,),)),
+        ("center", 3), ("j_list", ()), ("j_list", (25, "a")), ("initials", ()),
+        ("initials", ((0.3,),)),
         ("seed", None), ("k", None), ("center", None), ("spread1", None),
     ])
     def test_rejects_wrongly_typed_fields(self, field, value):
@@ -578,7 +578,7 @@ class TestRunners:
         cfg = dict(kind="mi-dynamics", kappa=6.0, j=100, count=50, steps=8, seed=1)
         a = run_experiment(ExperimentConfig(**cfg))
         b = run_experiment(ExperimentConfig(**cfg))
-        assert a.rows == b.rows
+        assert a.rows.tolist() == b.rows.tolist()
         assert a.meta == b.meta
 
     def test_required_fields_match_the_defaults_table(self):
@@ -610,9 +610,8 @@ SMALL_CONFIGS = {
 }
 
 
-# every kind's rows, and a portrait and a lyapunov run (array rows) and an
-# entropy-dynamics run (a tuple list) longer than one write chunk: 5,025,
-# 5,000 and 1,101 rows
+# every kind's rows, and a portrait, a lyapunov and an entropy-dynamics
+# run longer than one write chunk: 5,025, 5,000 and 1,101 rows
 WRITER_CONFIGS = {
     **{kind: dict(kind=kind, **cfg) for kind, cfg in SMALL_CONFIGS.items()},
     "portrait-multi-chunk": dict(kind="phase-portrait", kappa=2.5, grid=(5, 5), steps=200),
@@ -620,48 +619,52 @@ WRITER_CONFIGS = {
     "entropy-dynamics-multi-chunk": dict(kind="entropy-dynamics", kappa=2.5, j=0.5, steps=1100),
 }
 
-# the native field types no runner writes
-HAND_BUILT = Dataset("probe", ("flag", "n", "x", "label"), [
+# the field types and values no runner writes
+HAND_BUILT = Dataset("probe", np.array([
     (True, -3, 1e-300, "gauss_rho_0.3"),
     (False, 0, float("nan"), ""),
-    (True, 10**20, float("-inf"), "a b"),
-    (False, 7, -0.0, "tab\there"),
-], {})
+    (True, np.iinfo(np.int64).max, float("-inf"), "a b"),
+    (False, np.iinfo(np.int64).min, float("inf"), "tab\there"),
+    (False, 7, -0.0, "x"),
+], dtype=[("flag", bool), ("n", np.int64), ("x", np.float64), ("label", "U16")]), {})
+
+# the columns a runner writes as int64
+INT_COLUMNS = {"traj_id", "step", "block", "cell", "teq", "n", "k"}
 
 
 def _render_probe(rows_kind: str, offset) -> Dataset:
     """A dataset `offset` rows away from the first row count at _SPLIT_WRITE_FIELDS fields.
 
     offset "3-row tail" asks for at least one more chunk, whose last one
-    has 3 rows.  "array" rows are portrait records (seven columns), "list"
-    rows (int, float) tuples, as an mi-dynamics run writes.  "portrait" is a
-    phase-portrait run of 100 trajectories (140,700 fields) whatever the
-    offset: its default group of 93 trajectories does not divide them.
+    has 3 rows.  "wide" rows are portrait records (seven columns), "narrow"
+    rows (int64, float64) records, as a lyapunov or mi-dynamics run writes.
+    "portrait" is a phase-portrait run of 100 trajectories (140,700 fields)
+    whatever the offset: its default group of 93 trajectories does not
+    divide them.
     """
     if rows_kind == "portrait":
         return run_experiment(ExperimentConfig("phase-portrait", kappa=2.5, grid=(10, 10),
                                                steps=200))
     rng = np.random.default_rng(7)
-    columns = PORTRAIT_DTYPE.names if rows_kind == "array" else ("block", "lambda_running")
-    count = -(-_SPLIT_WRITE_FIELDS // len(columns))
+    dtype = (PORTRAIT_DTYPE if rows_kind == "wide"
+             else np.dtype([("block", np.int64), ("lambda_running", np.float64)]))
+    count = -(-_SPLIT_WRITE_FIELDS // len(dtype.names))
     if offset == "3-row tail":
         count = (count // _WRITE_CHUNK_ROWS + 2) * _WRITE_CHUNK_ROWS + 3
     else:
         count += offset
-    if rows_kind == "list":
-        return Dataset("probe", columns, list(enumerate(rng.normal(size=count).tolist())), {})
-    rows = np.zeros(count, dtype=PORTRAIT_DTYPE)
-    for name in columns:
-        integer = name in ("traj_id", "step")
+    rows = np.zeros(count, dtype=dtype)
+    for name in dtype.names:
+        integer = name in INT_COLUMNS
         rows[name] = rng.integers(0, 10**6, count) if integer else rng.normal(size=count)
-    return Dataset("probe", columns, rows, {})
+    return Dataset("probe", rows, {})
 
 
 # (rows kind, offset) of each split-render case, by test id
 SPLIT_CASES = {
     **{f"{name}-{rows_kind}": (rows_kind, offset)
        for name, offset in [("under", -1), ("at", 0), ("over", 1), ("short-tail", "3-row tail")]
-       for rows_kind in ("array", "list")},
+       for rows_kind in ("wide", "narrow")},
     "grouped-portrait": ("portrait", None),
 }
 
@@ -672,9 +675,16 @@ class TestDatasetOutput:
 
     @pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
     def test_rows_hold_native_scalars(self, kind):
-        # the row contract of Dataset.write (str for int, repr for float)
+        # the row contract of Dataset.write: one structured array whose
+        # field names are the columns, and whose .tolist() gives native
+        # scalars (str for int, repr for float)
         ds = run_experiment(ExperimentConfig(kind=kind, **SMALL_CONFIGS[kind]))
-        rows = _as_tuples(ds.rows[:])
+        records = ds.rows[:]
+        assert isinstance(records, np.ndarray) and records.ndim == 1
+        assert records.dtype.names == ds.columns
+        for name in ds.columns:
+            assert (records.dtype[name] == np.int64) == (name in INT_COLUMNS), name
+        rows = records.tolist()
         assert rows
         for row in rows:
             assert len(row) == len(ds.columns)
@@ -713,7 +723,7 @@ class TestDatasetOutput:
         with open(tmp_path / "oracle.csv", "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(ds.columns)
-            writer.writerows(_as_tuples(ds.rows[:]))
+            writer.writerows(ds.rows[:].tolist())
         assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_datasets_compare_by_identity(self):
@@ -785,6 +795,30 @@ class TestDatasetOutput:
         assert rows.dtype == [("block", np.int64), ("lambda_running", np.float64)]
         assert rows[:].tolist() == list(enumerate(series.tolist(), start=1))
 
+    def test_long_entropy_dynamics_rows_are_records(self, monkeypatch):
+        # a 100,000-step run peaked at 23.6 MB when its rows were tuples.
+        # Its (int64, 5 x float64) records take 4.8 MB, and the run peaks
+        # at 7.2 MB: the records, and the step, s_linear and s_vn columns
+        # (0.8 MB each) they are built from.  The evolution is stubbed, and
+        # so is the von Neumann entropy, whose 100,001 scalar calls would
+        # take seconds under tracemalloc
+        steps = 100_000
+        bloch = np.zeros((steps + 1, 3))
+        bloch[:, 0] = np.linspace(1.0, 0.0, steps + 1)
+        bloch[:, 2] = np.linspace(0.0, 0.5, steps + 1)
+        monkeypatch.setattr(experiments, "coherent_state", lambda *args: None)
+        monkeypatch.setattr(experiments, "floquet_unitary", lambda *args: None)
+        monkeypatch.setattr(experiments, "evolve_expectations", lambda *args: bloch)
+        monkeypatch.setattr(experiments, "von_neumann_entropy_single_spin", lambda r: 0.5)
+        config = ExperimentConfig("entropy-dynamics", kappa=2.5, j=20, steps=steps)
+        runs = []
+        assert _traced_peak(lambda: runs.append(run_experiment(config))) < 8 * 2**20
+        rows = runs[0].rows
+        assert rows.dtype.itemsize == 48
+        assert rows["step"].tolist() == list(range(steps + 1))
+        for name, column in zip(("rx", "ry", "rz"), bloch.T):
+            assert rows[name].tobytes() == column.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(grid=st.tuples(st.integers(1, 6), st.integers(1, 6)), steps=st.integers(0, 50),
            kappa=st.sampled_from([0.0, 2.5, 6.0]), data=st.data())
@@ -811,9 +845,10 @@ class TestDatasetOutput:
                              ids=["comma", "quote", "cr", "lf"])
     def test_field_needing_quotes_is_refused(self, tmp_path, special):
         # the bad row sits in the second chunk, after one chunk was written
-        rows = [("ok", i) for i in range(_WRITE_CHUNK_ROWS)] + [(f"a{special}b", 1)]
+        rows = np.rec.fromrecords([("ok", i) for i in range(_WRITE_CHUNK_ROWS)]
+                                  + [(f"a{special}b", 1)], names="case,n")
         with pytest.raises(ValueError, match="CSV quoting"):
-            Dataset("probe", ("case", "n"), rows, {}).write(tmp_path)
+            Dataset("probe", rows, {}).write(tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     @needs_fork
@@ -843,10 +878,13 @@ class TestDatasetOutput:
 
     @needs_fork
     def test_field_needing_quotes_in_a_workers_rows_is_refused(self, tmp_path, monkeypatch):
-        # the last row is in the worker's range; it raises the one-process
-        # error in this process, and neither the CSV nor a temporary file is left
-        ds = _render_probe("list", 1)
-        ds.rows[-1] = ("a,b", 1.0)
+        # one row over the split threshold; the last is in the worker's range.
+        # It raises the one-process error in this process, and neither the
+        # CSV nor a temporary file is left
+        rows = np.zeros(_SPLIT_WRITE_FIELDS // 2 + 1, dtype=[("case", "U3"), ("x", np.float64)])
+        rows["case"] = "ok"
+        rows[-1] = ("a,b", 1.0)
+        ds = Dataset("probe", rows, {})
         errors = []
         for cpus in (2, 1):
             _on_cpus(monkeypatch, cpus)
@@ -863,14 +901,14 @@ class TestDatasetOutput:
 
         monkeypatch.setattr(os, "fork", refused, raising=False)
         _on_cpus(monkeypatch, 1)
-        _render_probe("array", 1).write(tmp_path)
+        _render_probe("wide", 1).write(tmp_path)
         equilibrium_map(ExperimentConfig(**SUBSET_CASES["thermo-map polar"]))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_meta_is_refused_before_writing(self, tmp_path, value):
         # JSON has no NaN or infinity; nothing is written, not even the CSV
-        ds = Dataset("probe", ("case", "n"), [("ok", 1)], {"slope": value})
+        ds = Dataset("probe", np.rec.fromrecords([("ok", 1)], names="case,n"), {"slope": value})
         with pytest.raises(ValueError, match="not JSON compliant"):
             ds.write(tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -878,7 +916,7 @@ class TestDatasetOutput:
     def test_one_column_dataset_is_refused(self, tmp_path):
         # csv.writer writes this row as '""'; a bare line would be empty
         with pytest.raises(ValueError, match="at least two columns"):
-            Dataset("probe", ("case",), [("",)], {}).write(tmp_path)
+            Dataset("probe", np.rec.fromrecords([("",)], names="case"), {}).write(tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_meta_sidecar_holds_config_and_conventions(self, tmp_path):
