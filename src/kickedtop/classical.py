@@ -86,7 +86,10 @@ def spherical_to_cartesian(point) -> np.ndarray:
 def cartesian_to_spherical(vec) -> SphericalPoint:
     """Inverse of spherical_to_cartesian for unit vectors.
 
-    At a pole (x = y = 0) phi is taken to be 0.  phi is reduced to [0, 2*pi).
+    phi is reduced to [0, 2*pi).  At a pole (x = y = 0) phi is 0 when x
+    is +0.0 and pi when x is -0.0, whatever the sign of y: arctan2 keeps
+    the sign of a zero x.  A kappa=0 orbit from theta=0 reaches
+    (-0.0, 0, 1) in four steps, so its portrait writes phi = pi there.
     Array input of shape (..., 3) returns a SphericalPoint of arrays.
     """
     v = np.asarray(vec, dtype=np.float64)

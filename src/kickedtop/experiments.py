@@ -601,10 +601,11 @@ def _checked(name: str, value, element: type, arity: str):
     return tuple(value) if is_list else value
 
 
-# rows rendered per write call: for a portrait, 1024 row tuples (about
-# 0.23 MB) and their text (about 0.11 MB), at most about 0.5 MB while the
-# text is joined, so a chunk stays small next to the 56 B-a-row records
-_WRITE_CHUNK_ROWS = 1024
+# rows rendered per write call: for a portrait, 256 row tuples (about
+# 58 KB) and their text (about 26 KB), at most about 0.1 MB while the
+# text is joined.  A portrait also steps its trajectories in groups of
+# about one chunk of rows (_PortraitRows), so a chunk is the working set
+_WRITE_CHUNK_ROWS = 256
 
 # fields (rows x columns) from which Dataset.write renders its rows in
 # several processes.  On a 2-core Xeon the split paid from about 17,000
@@ -756,30 +757,27 @@ def _run_phase_portrait(config: ExperimentConfig) -> Dataset:
     return Dataset(config.kind, rows, meta)
 
 
-# bytes of records a portrait holds at a time: its rows are computed one
-# group of consecutive trajectories at a time, as many as fit (at least
-# one).  Each trajectory steps alone, so the group sets the memory held,
-# not the stepping rate
-_PORTRAIT_GROUP_BYTES = 1 << 20
-
-
 class _PortraitRows:
     """The records of phase_portrait(initials, params, steps), one group of trajectories at a time.
 
     A Dataset row source: len() is the row count, and a contiguous slice
-    gives those rows as a PORTRAIT_DTYPE array.  A group is one
+    gives those rows as a PORTRAIT_DTYPE array.  A group is as many
+    consecutive trajectories as fit in one write chunk of rows
+    (_WRITE_CHUNK_ROWS), at least one, so the records held are at most a
+    chunk's, or one trajectory's if that is longer.  It is one
     phase_portrait call on its starts, with traj_id offset by its first
     trajectory.  Each trajectory steps alone and the angle ufuncs work
     element by element, so the rows have the bits of one call over all
-    starts.  Only the current group is held.  Group 0 is computed here, so
-    an allocation numpy refuses fails before anything is written.
+    starts, whatever the group size.  Only the current group is held.
+    Group 0 is computed here, so an allocation numpy refuses fails before
+    anything is written.
     """
 
     dtype = PORTRAIT_DTYPE
 
     def __init__(self, initials: np.ndarray, params: KickParams, steps: int):
         self.initials, self.params, self.steps = initials, params, steps
-        self.group = max(1, _PORTRAIT_GROUP_BYTES // ((steps + 1) * PORTRAIT_DTYPE.itemsize))
+        self.group = max(1, _WRITE_CHUNK_ROWS // (steps + 1))
         self._load(0)
 
     def __len__(self) -> int:

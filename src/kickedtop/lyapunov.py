@@ -45,8 +45,9 @@ _NORM_FLOOR = 1e-300
 _POLE_TOL = 1e-8
 
 # The reference orbit and its Jacobians are built this many steps at a time,
-# so memory stays flat however long the run.
-_CHUNK_STEPS = 4096
+# so memory stays flat however long the run: a chunk's orbit and its
+# Jacobians take about 80 KB at their peak
+_CHUNK_STEPS = 512
 
 
 class DegenerateTangentError(KickedTopError):

@@ -66,6 +66,13 @@ class TestCoordinates:
     def test_pole_phi_convention(self):
         assert cartesian_to_spherical(np.array([0.0, 0.0, 1.0])).phi == 0.0
         assert cartesian_to_spherical(np.array([0.0, 0.0, -1.0])).phi == 0.0
+        assert cartesian_to_spherical(np.array([0.0, -0.0, 1.0])).phi == 0.0
+        # arctan2 keeps the sign of a zero x: a pole with x = -0.0 has phi = pi
+        for pole in ([-0.0, 0.0, 1.0], [-0.0, 0.0, -1.0], [-0.0, -0.0, 1.0]):
+            assert cartesian_to_spherical(np.array(pole)).phi == np.pi, pole
+        # where a kappa=0 orbit from theta=0 reaches one in four steps
+        assert cartesian_to_spherical(evolve_trajectory(
+            spherical_to_cartesian(SphericalPoint(0.0, 0.0)), KickParams(0.0), 4)[4]).phi == np.pi
 
     def test_phi_range(self):
         point = cartesian_to_spherical(np.array([0.5, -0.5, -SQ2]))

@@ -638,13 +638,14 @@ def _render_probe(rows_kind: str, offset) -> Dataset:
     offset "3-row tail" asks for at least one more chunk, whose last one
     has 3 rows.  "wide" rows are portrait records (seven columns), "narrow"
     rows (int64, float64) records, as a lyapunov or mi-dynamics run writes.
-    "portrait" is a phase-portrait run of 100 trajectories (140,700 fields)
-    whatever the offset: its default group of 93 trajectories does not
-    divide them.
+    "portrait" is a phase-portrait run of 144 trajectories of 51 rows
+    (51,408 fields) whatever the offset: its default group of 5
+    trajectories does not divide them, and the second CPU's range starts
+    inside a group.
     """
     if rows_kind == "portrait":
-        return run_experiment(ExperimentConfig("phase-portrait", kappa=2.5, grid=(10, 10),
-                                               steps=200))
+        return run_experiment(ExperimentConfig("phase-portrait", kappa=2.5, grid=(12, 12),
+                                               steps=50))
     rng = np.random.default_rng(7)
     dtype = (PORTRAIT_DTYPE if rows_kind == "wide"
              else np.dtype([("block", np.int64), ("lambda_running", np.float64)]))
@@ -743,8 +744,8 @@ class TestDatasetOutput:
 
     def test_portrait_run_and_write_hold_one_chunk_of_row_tuples(self, tmp_path, one_cpu):
         # the records reach Dataset.write a group of trajectories at a time
-        # (_PortraitRows) and become row tuples a chunk at a time: 1024
-        # tuples (about 0.23 MB) and their text (about 0.11 MB).  A list of
+        # (_PortraitRows) and become row tuples a chunk at a time: 256
+        # tuples (about 58 KB) and their text (about 26 KB).  A list of
         # all 40,100 row tuples, about 225 B each, would add 9 MB over the
         # peak of one phase_portrait call over all the starts.
         thetas, phis = grid_centers(10, 10)
@@ -754,15 +755,30 @@ class TestDatasetOutput:
         written = _traced_peak(lambda: run_experiment(config).write(tmp_path))
         assert written - portrait < 1_000_000, (portrait, written)
 
-    def test_portrait_memory_stays_flat(self, tmp_path, monkeypatch, one_cpu):
-        # records 17 times the group budget run and write within the budget
-        # plus one write chunk (about 0.5 MB) and the stepping's angle blocks
-        monkeypatch.setattr(experiments, "_PORTRAIT_GROUP_BYTES", 1 << 16)
-        config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(10, 10), steps=200)
-        records = 100 * 201 * PORTRAIT_DTYPE.itemsize
-        assert records >= 8 * experiments._PORTRAIT_GROUP_BYTES
-        peak = _traced_peak(lambda: run_experiment(config).write(tmp_path))
-        assert peak < experiments._PORTRAIT_GROUP_BYTES + 1_000_000, (peak, records)
+    def test_portrait_memory_stays_flat(self, tmp_path, one_cpu):
+        # 25 and 100 trajectories of 201 rows (0.28 and 1.13 MB of records)
+        # run and write one group of a trajectory (11 KB) and one write
+        # chunk at a time: their peaks measured 0.13 and 0.14 MB.  Only the
+        # starts and the meta's initials list grow with the grid
+        small, large = (_traced_peak(lambda: run_experiment(ExperimentConfig(
+            "phase-portrait", kappa=2.5, grid=grid, steps=200)).write(tmp_path))
+            for grid in ((5, 5), (10, 10)))
+        assert large < 300_000 and large - small < 100_000, (small, large)
+
+    @pytest.mark.parametrize("config,bound", [
+        # the perfbench portrait-write call: 400 trajectories of 201 rows
+        # (4.5 MB of records) peaked at 0.26 MB, and at 1.77 MB with 1 MiB
+        # groups and 1024-row chunks
+        (dict(kind="phase-portrait", kappa=2.5), 400_000),
+        # the perfbench long-orbit call peaked at 0.33 MB: its block norms,
+        # their logs and its rows take about 0.26 MB, a 512-step chunk's
+        # orbit and Jacobians about 80 KB.  4096-step chunks peaked at
+        # 0.95 MB
+        (dict(kind="lyapunov", kappa=6.0, n_blocks=8000, steps_per_block=10), 450_000),
+    ], ids=["portrait-write", "long-orbit"])
+    def test_orbit_kinds_run_and_write_in_one_chunk(self, tmp_path, one_cpu, config, bound):
+        peak = _traced_peak(lambda: run_experiment(ExperimentConfig(**config)).write(tmp_path))
+        assert peak < bound, peak
 
     def test_lone_trajectories_step_through_evolve_trajectory(self, tmp_path, monkeypatch,
                                                               one_cpu):
@@ -770,12 +786,15 @@ class TestDatasetOutput:
         # evolve_trajectory's scalar loop, and writes the bytes of a run
         # whose groups hold all trajectories
         config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(3, 2), steps=300)
-        batched = run_experiment(config).write(tmp_path / "batched")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_WRITE_CHUNK_ROWS", 6 * 301)
+            dataset = run_experiment(config)
+            assert dataset.rows.group == 6
+            batched = dataset.write(tmp_path / "batched")
 
         def refuse(*args):
             raise AssertionError("classical_step stepped a lone trajectory")
 
-        monkeypatch.setattr(experiments, "_PORTRAIT_GROUP_BYTES", 301 * PORTRAIT_DTYPE.itemsize)
         monkeypatch.setattr(classical, "classical_step", refuse)
         dataset = run_experiment(config)
         assert dataset.rows.group == 1
@@ -823,22 +842,31 @@ class TestDatasetOutput:
     @given(grid=st.tuples(st.integers(1, 6), st.integers(1, 6)), steps=st.integers(0, 50),
            kappa=st.sampled_from([0.0, 2.5, 6.0]), data=st.data())
     def test_grouped_portrait_rows_have_the_bits_of_one_call(self, grid, steps, kappa, data):
-        # a portrait steps one group of trajectories at a time; any slice,
-        # within a group or across its edges, holds the bytes of the same
-        # rows of one phase_portrait call over all the starts
+        # a portrait steps as many trajectories at a time as fill a write
+        # chunk (at least one); any slice, within a group or across its
+        # edges, holds the bytes of the same rows of one phase_portrait
+        # call over all the starts
         thetas, phis = grid_centers(*grid)
         initials = np.array([(theta, phi) for theta in thetas for phi in phis])
         whole = phase_portrait(initials, KickParams(kappa), steps)
         group = data.draw(st.integers(1, len(initials)), label="group")
+        size = group * (steps + 1)  # rows per group
+        chunk = data.draw(st.integers(1 if group == 1 else size, size + steps),
+                          label="write chunk rows")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "_PORTRAIT_GROUP_BYTES",
-                          group * (steps + 1) * PORTRAIT_DTYPE.itemsize)
+            patch.setattr(experiments, "_WRITE_CHUNK_ROWS", chunk)
             rows = _PortraitRows(initials, KickParams(kappa), steps)
         assert rows.group == group and len(rows) == whole.size
         assert rows[:].tobytes() == whole.tobytes()
         for _ in range(3):
             lo = data.draw(st.integers(0, whole.size), label="lo")
             hi = data.draw(st.integers(lo, whole.size), label="hi")
+            assert rows[lo:hi].tobytes() == whole[lo:hi].tobytes()
+        if size < whole.size:
+            # a slice that starts in one group and ends in a later one
+            edge = size * data.draw(st.integers(1, (whole.size - 1) // size), label="edge")
+            lo = data.draw(st.integers(max(0, edge - size), edge - 1), label="lo")
+            hi = data.draw(st.integers(edge + 1, whole.size), label="hi")
             assert rows[lo:hi].tobytes() == whole[lo:hi].tobytes()
 
     @pytest.mark.parametrize("special", [",", '"', "\r", "\n"],

@@ -273,7 +273,7 @@ class TestBenettin:
     @pytest.mark.parametrize(
         "start,kappa,n_blocks,steps_per_block",
         [
-            # chaotic, 5000 steps: one full chunk plus a partial one
+            # chaotic, 5000 steps: several full chunks plus a partial one
             (SphericalPoint(3 * np.pi / 4, 3 * np.pi / 4), 6.0, 500, 10),
             (SphericalPoint(np.pi / 5, np.pi / 10), 2.5, 900, 7),
             (SphericalPoint(2.0, 4.0), 0.0, 7, 300),
