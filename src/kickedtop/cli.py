@@ -15,7 +15,8 @@ import json
 import sys
 
 from .classical import KickedTopError
-from .experiments import _DEFAULTS, EXPERIMENT_KINDS, ExperimentConfig, run_experiment
+from .config import _DEFAULTS, ExperimentConfig
+from .experiments import EXPERIMENT_KINDS, run_experiment
 
 __all__ = ["main"]
 

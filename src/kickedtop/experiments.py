@@ -1,11 +1,12 @@
 """Experiment runners: named, reproducible computations with CSV output.
 
 run_experiment fills an ExperimentConfig's unset fields from its kind's
-row of _DEFAULTS; the kind's runner then turns it into a Dataset (a
-structured array whose field names are the columns, plus a metadata
-dictionary).  The Dataset writes a CSV file and a .meta.json sidecar
-capturing every parameter, the seed, the package version, and the unit
-conventions, so a rerun of the same config is byte-identical.
+row of _DEFAULTS (module config); the kind's runner then turns it into a
+Dataset (module output: a structured array whose field names are the
+columns, plus a metadata dictionary).  The Dataset writes a CSV file and
+a .meta.json sidecar capturing every parameter, the seed, the package
+version, and the unit conventions, so a rerun of the same config is
+byte-identical.
 
 Analysis helpers shared by the runners live here as well: the
 equilibration-time estimator, the growth-rate fit, and the phase-space
@@ -14,23 +15,15 @@ equilibrium maps.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import json
 import math
-import numbers
-import os
-import pickle
-import shutil
-import tempfile
-import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
+from . import output
 from .bipartite import CapDistribution, _cap_vectors, pair_x_steps, sample_pairs
 from .classical import (
     PORTRAIT_DTYPE,
@@ -40,8 +33,10 @@ from .classical import (
     classical_step,
     phase_portrait,
 )
+from .config import ExperimentConfig, _resolved
 from .lyapunov import benettin_lyapunov
 from .mutual_info import ksg_mi
+from .output import Dataset, _forked, _worker_count
 from .quantum import (
     _BLOCH_NORM_SLACK,
     _bloch_norm_error,
@@ -69,18 +64,9 @@ __all__ = [
     "EquilibriumMap",
     "map_cell_value",
     "equilibrium_map",
-    "ExperimentConfig",
-    "Dataset",
     "run_experiment",
     "EXPERIMENT_KINDS",
 ]
-
-DEFAULT_CENTER = (3.0 * np.pi / 4.0, 3.0 * np.pi / 4.0)
-
-# subsystem patch sizes (steradians) in the bipartite sampling: the single
-# spin-1/2 carries an O(1) angular uncertainty, the rest of the top the
-# usual coherent-state spread 1/j
-SPREAD_SINGLE_SPIN = 0.25
 
 UNIT_CONVENTIONS = {
     "mutual_information": "nats",
@@ -205,14 +191,6 @@ class EquilibriumMap:
     failures: list = field(default_factory=list)
 
 
-def _top_steps(states, params, steps):
-    """Yield an (N, 3) ensemble of single tops after 0..steps periods."""
-    yield states
-    for _ in range(steps):
-        states = classical_step(states, params)
-        yield states
-
-
 def _mi_start(center, spread1, j, count, seed):
     """Initial (n1, n2) of the bipartite ensemble around `center`."""
     point = SphericalPoint(*center)
@@ -255,8 +233,12 @@ def _thermo_series(starts, params, window):
     values = np.full((len(starts), hi - lo + 1), np.nan)
     live = np.ones(len(starts), dtype=bool)
     failed = []
-    steps = _top_steps(np.concatenate(starts), params, hi)
-    for col, states in enumerate(islice(steps, lo, None)):
+    states = np.concatenate(starts)
+    for _ in range(lo):
+        states = classical_step(states, params)
+    for col in range(hi - lo + 1):
+        if col:
+            states = classical_step(states, params)
         mean = states.reshape(len(starts), -1, 3).mean(axis=1)
         r2 = (mean[:, np.newaxis, :] @ mean[:, :, np.newaxis])[:, 0, 0]
         for row in np.flatnonzero(live & (r2 > 1.0 + _BLOCH_NORM_SLACK)):
@@ -279,89 +261,6 @@ def _entropy_series(states, unitary, window):
     lo, hi = window
     bloch = _evolve_blochs([state.amplitudes for state in states], unitary, hi)
     return np.maximum(0.5 * (1.0 - np.einsum("bij,bij->bi", bloch, bloch)), 0.0)[:, lo:]
-
-
-def _worker_count(parts: int) -> int:
-    """Processes for `parts` independent parts: the CPUs this process may use, at most `parts`.
-
-    1 where os.fork or os.sched_getaffinity is missing, so the work stays
-    one plain call.  CPU affinity is the control: `taskset -c 0` gives 1.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), parts)
-
-
-def _forked(run, parts: list) -> list:
-    """[run(part) for part in parts], each part after the first in a forked worker.
-
-    The parent runs parts[0] itself while the workers run the rest.  A
-    worker pickles its result, or the exception it raised, into a pipe and
-    ends in os._exit, so it runs no exit handler and flushes no buffer it
-    shares with the parent.  A worker's exception is raised again in the
-    parent (same type and message), the first in part order, once parts[0]
-    has succeeded.  Every worker is reaped before this returns or raises;
-    when the parent fails or is interrupted, the workers still running are
-    killed first.  One part is a plain call, with no fork.
-    """
-    if len(parts) == 1:
-        return [run(parts[0])]
-    pids, pipes = [], []
-    try:
-        for part in parts[1:]:
-            read_fd, write_fd = os.pipe()
-            pipes.append(read_fd)
-            try:
-                with warnings.catch_warnings():
-                    # Python >= 3.12 warns when a process with threads forks.
-                    # Here the only threads are OpenBLAS's pool, which
-                    # OpenBLAS shuts down before a fork (pthread_atfork), so
-                    # the worker holds no lock another thread took; it runs
-                    # this package's numpy code and leaves through os._exit
-                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                            DeprecationWarning)
-                    pid = os.fork()
-            except BaseException:
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    try:
-                        outcome = (True, run(part))
-                    except BaseException as exc:
-                        outcome = (False, exc)
-                    payload = pickle.dumps(outcome)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-            os.close(write_fd)
-        outcomes = [(True, run(parts[0]))]
-        for read_fd in pipes:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            # a worker that ended without writing (killed, or its outcome
-            # would not pickle) leaves an empty pipe
-            outcomes.append(pickle.loads(data) if data else
-                            (False, ChildProcessError("a worker process ended without a result")))
-    except BaseException:
-        import signal  # only this path needs it, so `import kickedtop` does not load it
-
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for read_fd in pipes:
-            os.close(read_fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
 
 
 _MAP_KINDS = ("entropy-map", "thermo-map", "mi-map")
@@ -500,232 +399,7 @@ def equilibrium_map(config: ExperimentConfig) -> EquilibriumMap:
 
 
 # --------------------------------------------------------------------------
-# configuration and dispatch
-
-
-def _spec(element: type, arity: str, help: str, default=None, low=None):
-    """A config field: default, element type, arity, least value and flag help (see _checked)."""
-    return field(default=default, metadata=dict(type=element, arity=arity, low=low, help=help))
-
-
-@dataclass
-class ExperimentConfig:
-    """Declarative description of one experiment run.
-
-    A field its kind does not take (see _DEFAULTS) must keep its default.
-    run_experiment resolves unset (None) fields to their kind's _DEFAULTS
-    before the runner sees them; the metadata records the resolved values.
-    """
-
-    kind: str
-    kappa: float | None = _spec(float, "scalar", "kick strength")
-    j: float | None = _spec(float, "scalar", "spin magnitude")
-    j_list: tuple | None = _spec(float, "list", "spin magnitudes")
-    center: tuple = _spec(float, "pair", "initial/centre point (theta, phi)", DEFAULT_CENTER)
-    initials: tuple | None = _spec(float, "pairs", "initial points (theta, phi)")
-    grid: tuple | None = _spec(int, "pair", "grid resolution (n_theta, n_phi)")
-    count: int | None = _spec(int, "scalar", "ensemble size / sample count", low=1)
-    steps: int | None = _spec(int, "scalar", "number of map periods", low=1)
-    k: int = _spec(int, "scalar", "nearest-neighbour order for MI", 3, low=1)
-    window: tuple | None = _spec(int, "pair", "averaging window (lo, hi) in steps")
-    n_blocks: int | None = _spec(int, "scalar", "Benettin blocks", low=1)
-    steps_per_block: int | None = _spec(int, "scalar", "steps per Benettin block", low=1)
-    spread1: float = _spec(float, "scalar", "subsystem-1 patch solid angle", SPREAD_SINGLE_SPIN)
-    seed: int = _spec(int, "scalar", "base RNG seed", 0, low=0)
-
-    def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; choose from {sorted(EXPERIMENT_KINDS)}")
-        for spec in fields(self)[1:]:  # every field but kind
-            value = getattr(self, spec.name)
-            if value is None:
-                if spec.default is not None:  # a JSON null reaches a field with a set default
-                    raise ValueError(f"{spec.name} must not be null")
-                continue
-            value = _checked(spec.name, value, spec.metadata["type"], spec.metadata["arity"])
-            setattr(self, spec.name, value)
-            if spec.name not in _DEFAULTS[self.kind] and value != spec.default:
-                raise ValueError(f"{self.kind} does not take {spec.name}")
-            if spec.metadata["low"] is not None and value < spec.metadata["low"]:
-                raise ValueError(f"{spec.name} must be >= {spec.metadata['low']}, got {value}")
-        if self.grid is not None and self.initials is not None:
-            raise ValueError(f"{self.kind} takes grid or initials, not both")
-        if self.kappa is not None and self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {float(self.kappa)}")
-        for j in (self.j,) + (self.j_list or ()):
-            if j is not None and j <= 0:
-                raise ValueError(f"j must be positive, got {float(j)}")
-        if not 0.0 <= float(self.center[0]) <= np.pi:
-            raise ValueError(f"center theta must be in [0, pi], got {float(self.center[0])}")
-        if self.window is not None:
-            lo, hi = self.window
-            if not 0 <= lo < hi:
-                raise ValueError(f"window must satisfy 0 <= lo < hi, got ({lo}, {hi})")
-        if self.grid is not None:
-            n_theta, n_phi = self.grid
-            if n_theta < 1 or n_phi < 1:
-                raise ValueError(f"grid must be positive, got ({n_theta}, {n_phi})")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    # JSON booleans are ints to Python; a config never means them as numbers
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _checked(name: str, value, element: type, arity: str):
-    """`value`, lists as tuples, if it has the field's element type and arity; ValueError otherwise.
-
-    element is int or float (finite); arity is "scalar", "pair", "list" or
-    "pairs", a non-empty list of pairs (which only a config file sets).
-    """
-    check, one, many = ((_is_int, "an integer", "integers") if element is int
-                        else (_is_real, "a finite number", "finite numbers"))
-    is_list = isinstance(value, (list, tuple))
-    if arity == "scalar":
-        ok, want = check(value), one
-    elif arity == "pair":
-        ok, want = is_list and len(value) == 2 and all(map(check, value)), f"a pair of {many}"
-    elif arity == "list":
-        ok, want = is_list and len(value) > 0 and all(map(check, value)), f"a non-empty list of {many}"
-    elif is_list and value:  # a non-empty list of pairs
-        return tuple(_checked(name, point, element, "pair") for point in value)
-    else:
-        ok, want = False, "a non-empty list of pairs"
-    if not ok:
-        raise ValueError(f"{name} must be {want}, got {value!r}")
-    return tuple(value) if is_list else value
-
-
-# rows rendered per write call: for a portrait, 256 row tuples (about
-# 58 KB) and their text (about 26 KB), at most about 0.1 MB while the
-# text is joined.  A portrait also steps its trajectories in groups of
-# about one chunk of rows (_PortraitRows), so a chunk is the working set
-_WRITE_CHUNK_ROWS = 256
-
-# fields (rows x columns) from which Dataset.write renders its rows in
-# several processes.  On a 2-core Xeon the split paid from about 17,000
-# fields of portrait records, and from 20,000-36,000 (it moved between
-# runs) of (int64, float64) records; a fork and reap cost 4-6 ms
-_SPLIT_WRITE_FIELDS = 50_000
-
-# characters that make csv.writer quote a field under QUOTE_MINIMAL
-_CSV_SPECIALS = ',"\r\n'
-
-
-@dataclass(eq=False)
-class Dataset:
-    """Tabular result of a run plus everything needed to reproduce it.
-
-    `rows` is a 1-d structured array, one field per column (at least two),
-    or a row source (len(), a `dtype`, and contiguous slices that are such
-    arrays), as a phase-portrait's _PortraitRows is; the dtype's field
-    names are the columns.  Each field is an int, float or bool, or a str
-    free of the CSV specials `,`, `"`, CR and LF.  write turns one chunk's
-    slice at a time into row tuples of native scalars (`.tolist()`), and
-    the CSV holds exactly what csv.writer(lineterminator="\n") would write
-    for them: str() of each field, unquoted.  A row that would need
-    quoting is refused.  Datasets compare by identity: `==` on array rows
-    would be elementwise.
-    """
-
-    kind: str
-    rows: np.ndarray | _PortraitRows
-    meta: dict
-
-    @property
-    def columns(self) -> tuple:
-        """The column names: the field names of the rows' dtype."""
-        return self.rows.dtype.names
-
-    def write(self, outdir) -> tuple:
-        """Write <kind>.csv and <kind>.meta.json under `outdir`; returns paths.
-
-        ValueError, and no file left behind, if a row would need CSV quoting
-        or the meta holds a NaN or an infinity (not valid JSON).  A failed
-        meta write removes the CSV as well.
-
-        From _SPLIT_WRITE_FIELDS fields (rows x columns) on, the rows are
-        rendered on every CPU this process may use (os.sched_getaffinity;
-        `taskset -c 0` gives one), in contiguous ranges on chunk
-        boundaries.  This process writes the first range straight into the
-        CSV; each forked worker (_forked) renders its range into an unlinked
-        temporary file in `outdir`, which is then appended a bounded buffer
-        at a time.  The bytes, and the error a bad row raises, do not
-        depend on the CPU count; the workers' memory does not count in this
-        process's ru_maxrss.
-        """
-        meta_text = json.dumps(self.meta, allow_nan=False, indent=2, sort_keys=True,
-                               default=_json_safe)
-        columns = self.columns
-        if len(columns) < 2:
-            # csv.writer quotes a lone empty field, which the checks below cannot see
-            raise ValueError(f"a dataset needs at least two columns, got {columns!r}")
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        csv_path = outdir / f"{self.kind}.csv"
-        meta_path = outdir / f"{self.kind}.meta.json"
-        line = ",".join(["%s"] * len(columns)) + "\n"
-        rows = self.rows
-        chunks = -(-len(rows) // _WRITE_CHUNK_ROWS)
-        parts = (_worker_count(chunks) if len(rows) * len(columns) >= _SPLIT_WRITE_FIELDS
-                 else 1)
-        bounds = [min(len(rows), chunks * w // parts * _WRITE_CHUNK_ROWS)
-                  for w in range(parts + 1)]
-
-        def render(part):
-            out, lo, hi = part
-            for start in range(lo, hi, _WRITE_CHUNK_ROWS):
-                chunk = rows[start:min(start + _WRITE_CHUNK_ROWS, hi)].tolist()
-                out.write(_csv_text(line, chunk))
-            out.flush()
-
-        try:
-            with open(csv_path, "w", newline="") as handle, contextlib.ExitStack() as temps:
-                handle.write(_csv_text(line, [columns]))
-                # unlinked, so a killed run leaves none behind
-                outs = [handle] + [temps.enter_context(tempfile.TemporaryFile(
-                    "w+", newline="", dir=outdir)) for _ in range(parts - 1)]
-                _forked(render, list(zip(outs, bounds, bounds[1:])))
-                handle.flush()
-                for temp in outs[1:]:
-                    # as bytes, 64 KiB at a time: no decoded copy
-                    temp.seek(0)
-                    shutil.copyfileobj(temp.buffer, handle.buffer)
-            meta_path.write_text(meta_text + "\n")
-        except BaseException:
-            csv_path.unlink(missing_ok=True)
-            raise
-        return csv_path, meta_path
-
-
-def _csv_text(line: str, rows: list) -> str:
-    """`rows` rendered with the `line` format; ValueError if any needs quoting.
-
-    `line` has no quote or CR and one comma between fields, so any extra
-    comma, newline, quote or CR in the text came from a field.
-    """
-    text = "".join([line % row for row in rows])  # TypeError unless tuples of the right length
-    if ('"' in text or "\r" in text or text.count("\n") != len(rows)
-            or text.count(",") != len(rows) * line.count(",")):
-        row = next(row for row in rows
-                   if any(c in str(field) for field in row for c in _CSV_SPECIALS))
-        raise ValueError(f"row {row!r} has a field with one of , \" CR LF; it would need CSV quoting")
-    return text
-
-
-def _json_safe(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serialisable: {type(value)!r}")
+# the runners
 
 
 def _meta(config: ExperimentConfig, *names, **extras) -> dict:
@@ -763,7 +437,7 @@ class _PortraitRows:
     A Dataset row source: len() is the row count, and a contiguous slice
     gives those rows as a PORTRAIT_DTYPE array.  A group is as many
     consecutive trajectories as fit in one write chunk of rows
-    (_WRITE_CHUNK_ROWS), at least one, so the records held are at most a
+    (output._WRITE_CHUNK_ROWS, read at call time), at least one, so the records held are at most a
     chunk's, or one trajectory's if that is longer.  It is one
     phase_portrait call on its starts, with traj_id offset by its first
     trajectory.  Each trajectory steps alone and the angle ufuncs work
@@ -777,7 +451,7 @@ class _PortraitRows:
 
     def __init__(self, initials: np.ndarray, params: KickParams, steps: int):
         self.initials, self.params, self.steps = initials, params, steps
-        self.group = max(1, _WRITE_CHUNK_ROWS // (steps + 1))
+        self.group = max(1, output._WRITE_CHUNK_ROWS // (steps + 1))
         self._load(0)
 
     def __len__(self) -> int:
@@ -956,45 +630,6 @@ EXPERIMENT_KINDS = {
     "vn-vs-linear": _run_vn_vs_linear,
     "mi-selftest": _run_mi_selftest,
 }
-
-_REQUIRED = object()  # a field the kind cannot run without
-
-# the fields each kind reads, each required or with its default for when
-# it is unset (None), which a callable computes from the config.  center,
-# k, spread1 and seed are never unset; their defaults here are
-# ExperimentConfig's.  A field not in its kind's row must keep that default.
-_MI = {"k": 3, "spread1": SPREAD_SINGLE_SPIN, "seed": 0}
-_MAP = {"kappa": _REQUIRED, "j": 100, "grid": (32, 32), "count": 200, "window": (400, 500)}
-_DEFAULTS = {
-    # explicit initials replace the grid
-    "phase-portrait": {"kappa": _REQUIRED, "steps": 200, "initials": None,
-                       "grid": lambda config: (20, 20) if config.initials is None else None},
-    "lyapunov": {"kappa": _REQUIRED, "center": DEFAULT_CENTER, "n_blocks": 1000,
-                 "steps_per_block": 10},
-    "entropy-dynamics": {"kappa": _REQUIRED, "j": 20, "steps": 100, "center": DEFAULT_CENTER},
-    "mi-dynamics": {"kappa": _REQUIRED, "j": 100, "count": 1000, "steps": 100,
-                    "center": DEFAULT_CENTER, **_MI},
-    "teq-scaling": {"kappa": _REQUIRED, "j_list": _REQUIRED, "count": 500, "steps": 500,
-                    "center": DEFAULT_CENTER, **_MI},
-    # weak kicking grows entropy logarithmically, so it gets a late window
-    "entropy-map": {"kappa": _REQUIRED, "j": 20, "grid": (32, 32),
-                    "window": lambda config: (20, 40) if config.kappa >= 1.5 else (60, 100)},
-    "thermo-map": {**_MAP, "seed": 0},
-    "mi-map": {**_MAP, **_MI},
-    "vn-vs-linear": {},
-    "mi-selftest": {"count": 5000, "k": 3, "seed": 0},
-}
-
-
-def _resolved(config: ExperimentConfig) -> ExperimentConfig:
-    """`config` with its kind's defaults filled in; ValueError if a required field is unset."""
-    unset = {}
-    for name, default in _DEFAULTS[config.kind].items():
-        if getattr(config, name) is None:
-            if default is _REQUIRED:
-                raise ValueError(f"{config.kind} requires {name}")
-            unset[name] = default(config) if callable(default) else default
-    return replace(config, **unset)
 
 
 def run_experiment(config: ExperimentConfig) -> Dataset:

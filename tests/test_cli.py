@@ -35,7 +35,7 @@ from kickedtop import (
     linear_entropy,
 )
 from kickedtop.cli import _REPORTED_ERRORS, _build_parser, main
-from kickedtop.experiments import _DEFAULTS, ExperimentConfig
+from kickedtop.config import _DEFAULTS, ExperimentConfig
 
 # a small valid value for every config field, none of them its declared
 # default: with these every kind's run is quick

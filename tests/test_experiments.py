@@ -1,12 +1,8 @@
 """Tests for equilibration analysis, maps, and the experiment runners."""
 
-import csv
 import functools
 import hashlib
-import json
-import os
 import re
-import time
 import tracemalloc
 from collections import Counter
 
@@ -17,7 +13,6 @@ from hypothesis import strategies as st
 
 from kickedtop import (
     CapDistribution,
-    Dataset,
     ExperimentConfig,
     KickParams,
     LyapunovEstimate,
@@ -37,63 +32,18 @@ from kickedtop import (
     spherical_to_cartesian,
     thermo_limit_entropy,
 )
-from kickedtop import bipartite, classical, experiments
-from kickedtop.experiments import (
-    _DEFAULTS,
-    _REQUIRED,
-    _SPLIT_WRITE_FIELDS,
-    _WRITE_CHUNK_ROWS,
-    EXPERIMENT_KINDS,
-    _PortraitRows,
-    _forked,
-    _map_values,
-    _resolved,
-    _thermo_series,
-)
+from kickedtop import bipartite, classical, experiments, output
+from kickedtop.config import _resolved
+from kickedtop.experiments import _PortraitRows, _map_values, _thermo_series
 
-# a valid value for every config field, none of them its declared default
-VALID = {
-    "kappa": 2.5, "j": 4, "j_list": (4, 8), "center": (1.0, 2.0), "initials": ((1.0, 2.0),),
-    "grid": (2, 1), "count": 20, "steps": 5, "k": 4, "window": (1, 3), "n_blocks": 5,
-    "steps_per_block": 2, "spread1": 0.1, "seed": 1,
-}
-
-# every (kind, field) pair the kind does not take
-NOT_TAKEN = [(kind, name) for kind, row in _DEFAULTS.items()
-             for name in ExperimentConfig.__dataclass_fields__ if name not in {"kind", *row}]
-
-# every field a kind cannot run without
-REQUIRED_FIELDS = [
-    (kind, "kappa") for kind in (
-        "phase-portrait", "lyapunov", "entropy-dynamics", "mi-dynamics", "teq-scaling",
-        "entropy-map", "thermo-map", "mi-map",
-    )
-] + [("teq-scaling", "j_list")]
-
-
-# the CPUs this process may run on: the most workers a test may ask for
-CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or len(CPUS) < 2,
-                                reason="worker processes need os.fork and two CPUs")
-
-
-def _on_cpus(monkeypatch, count: int):
-    """Let the package see `count` of this process's CPUs, so it uses at most that many workers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(CPUS[:count]), raising=False)
+from helpers import CPUS, assert_no_child_left, count_forks, needs_fork, on_cpus
 
 
 @pytest.fixture
 def one_cpu(monkeypatch):
     # map passes and CSV renders stay in this process, so in-process
     # counts and memory bounds see all of the work
-    _on_cpus(monkeypatch, 1)
-
-
-def _assert_no_child_left():
-    """Every worker was reaped: this process has no child, running or exited."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    on_cpus(monkeypatch, 1)
 
 
 def _traced_peak(run) -> int:
@@ -185,13 +135,6 @@ def _full_map_pass(case):
     """_map_values over every cell of SUBSET_CASES[case], in cell order."""
     config = _resolved(ExperimentConfig(**SUBSET_CASES[case]))
     return _map_values(config, range(config.grid[0] * config.grid[1]))
-
-
-def _count_forks(patch) -> list:
-    """A list that gets one entry per os.fork call this process makes from now on."""
-    forks, fork = [], os.fork
-    patch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
 
 
 def _refuse_stacks_holding(patch, config, cell):
@@ -287,13 +230,13 @@ class TestGridAndMaps:
                 if started:
                     _refuse_stacks_holding(patch, config, data.draw(st.sampled_from(started)))
             one_values, one_failures = _map_values(config)
-            forks = _count_forks(patch)
-            _on_cpus(patch, workers)
+            forks = count_forks(patch)
+            on_cpus(patch, workers)
             split = equilibrium_map(config)
         assert len(forks) == min(workers, grid[0] * grid[1]) - 1
         assert split.values.tobytes() == one_values.tobytes()
         assert split.failures == sorted(one_failures)
-        _assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("count, k, reason", [
         (5, 3, "count must be >= 8, got 5"),
@@ -426,88 +369,6 @@ class TestGridAndMaps:
         assert counts == calls
 
 
-class TestExperimentConfig:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="spectral-form-factor")
-
-    def test_rejects_bad_center(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="lyapunov", kappa=1.0, center=(4.0, 0.0))
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="entropy-map", kappa=1.0, window=(40, 20))
-
-    @pytest.mark.parametrize("field, value", [
-        ("kappa", "x"), ("kappa", True), ("kappa", float("nan")), ("j", "100"),
-        ("count", 2.5), ("steps", "5"), ("n_blocks", 1.0), ("steps_per_block", 2.5),
-        ("seed", "a"), ("k", 3.0), ("grid", "ab"), ("grid", (2, 2.5)), ("window", (1, 2, 3)),
-        ("center", 3), ("j_list", ()), ("j_list", (25, "a")), ("initials", ()),
-        ("initials", ((0.3,),)),
-        ("seed", None), ("k", None), ("center", None), ("spread1", None),
-    ])
-    def test_rejects_wrongly_typed_fields(self, field, value):
-        # on a kind that takes the field, so the type check speaks, not the refusal
-        kind = next(kind for kind, row in _DEFAULTS.items() if field in row and "kappa" in row)
-        with pytest.raises(ValueError, match=f"^{field} must "):
-            ExperimentConfig(kind=kind, **{"kappa": 2.5, field: value})
-
-    @pytest.mark.parametrize("kind, field", NOT_TAKEN)
-    def test_refuses_a_field_its_kind_does_not_take(self, kind, field):
-        # the value is valid, and only the declared default passes
-        with pytest.raises(ValueError, match=f"^{kind} does not take {field}$"):
-            ExperimentConfig(kind=kind, **{field: VALID[field]})
-        ExperimentConfig(kind=kind, **{field: ExperimentConfig.__dataclass_fields__[field].default})
-
-    def test_row_defaults_of_set_fields_are_the_declared_ones(self):
-        # center, k, spread1 and seed are never unset, so a row's default for
-        # them documents ExperimentConfig's rather than replacing it
-        for row in _DEFAULTS.values():
-            for name, default in row.items():
-                declared = ExperimentConfig.__dataclass_fields__[name].default
-                if declared is not None:
-                    assert default == declared, name
-
-    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
-    def test_a_resolved_config_resolves_to_itself(self, kind):
-        # a map run resolves its config twice (run_experiment, equilibrium_map)
-        once = _resolved(ExperimentConfig(kind=kind, **SMALL_CONFIGS[kind]))
-        assert _resolved(once) == once
-
-    def test_portrait_refuses_grid_with_initials(self):
-        # initials used to override the grid silently
-        with pytest.raises(ValueError, match="^phase-portrait takes grid or initials, not both$"):
-            ExperimentConfig(kind="phase-portrait", kappa=2.5, grid=(2, 2), initials=((0.3, 0.4),))
-        resolved = _resolved(ExperimentConfig(kind="phase-portrait", kappa=2.5,
-                                              initials=((0.3, 0.4),)))
-        assert resolved.grid is None
-
-    def test_lists_become_tuples_and_keep_their_numbers(self):
-        ensemble = ExperimentConfig(kind="teq-scaling", kappa=2, center=[1, 2],
-                                    j_list=[25, 50.0])
-        assert ensemble.center == (1, 2) and type(ensemble.center[0]) is int
-        assert ensemble.j_list == (25, 50.0)
-        grid = ExperimentConfig(kind="entropy-map", kappa=2, grid=[2, 3], window=[0, 4])
-        assert (grid.grid, grid.window) == ((2, 3), (0, 4))
-        portrait = ExperimentConfig(kind="phase-portrait", kappa=2, initials=[[0.3, 0.4]])
-        assert portrait.initials == ((0.3, 0.4),)
-
-    def test_rejects_negative_kappa_and_nonpositive_j(self):
-        with pytest.raises(ValueError, match="kappa"):
-            ExperimentConfig(kind="mi-map", kappa=-1.0)
-        with pytest.raises(ValueError, match="j must be positive"):
-            ExperimentConfig(kind="mi-map", kappa=1.0, j=0)
-        with pytest.raises(ValueError, match="j must be positive"):
-            ExperimentConfig(kind="teq-scaling", kappa=1.0, j_list=(10, -5))
-
-    def test_rejects_nonpositive_counts(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="mi-dynamics", kappa=1.0, count=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="mi-dynamics", kappa=1.0, k=0)
-
-
 class TestRunners:
     def test_vn_vs_linear_curve(self):
         ds = run_experiment(ExperimentConfig(kind="vn-vs-linear"))
@@ -581,158 +442,8 @@ class TestRunners:
         assert a.rows.tolist() == b.rows.tolist()
         assert a.meta == b.meta
 
-    def test_required_fields_match_the_defaults_table(self):
-        assert sorted(REQUIRED_FIELDS) == sorted(
-            (kind, name) for kind, defaults in _DEFAULTS.items()
-            for name, default in defaults.items() if default is _REQUIRED
-        )
 
-    @pytest.mark.parametrize("kind, name", REQUIRED_FIELDS)
-    def test_missing_required_field_raises(self, kind, name):
-        # kappa is set unless it is the field under test
-        settings = {} if name == "kappa" else {"kappa": 2.5}
-        with pytest.raises(ValueError, match=f"^{kind} requires {name}$"):
-            run_experiment(ExperimentConfig(kind=kind, **settings))
-
-
-# one small config per experiment kind
-SMALL_CONFIGS = {
-    "phase-portrait": dict(kappa=2.5, grid=(2, 2), steps=3),
-    "lyapunov": dict(kappa=6.0, n_blocks=5, steps_per_block=3),
-    "entropy-dynamics": dict(kappa=2.5, j=4, steps=5),
-    "mi-dynamics": dict(kappa=6.0, j=100, count=30, steps=4),
-    "teq-scaling": dict(kappa=2.5, j_list=(25, 50), count=64, steps=120),
-    "entropy-map": dict(kappa=2.5, j=4, grid=(2, 2), window=(5, 15)),
-    "thermo-map": dict(kappa=2.5, j=10, grid=(2, 2), count=20, window=(2, 4)),
-    "mi-map": dict(kappa=2.5, j=100, grid=(2, 2), count=30, window=(2, 4)),
-    "vn-vs-linear": dict(),
-    "mi-selftest": dict(count=60),
-}
-
-
-# every kind's rows, and a portrait, a lyapunov and an entropy-dynamics
-# run longer than one write chunk: 5,025, 5,000 and 1,101 rows
-WRITER_CONFIGS = {
-    **{kind: dict(kind=kind, **cfg) for kind, cfg in SMALL_CONFIGS.items()},
-    "portrait-multi-chunk": dict(kind="phase-portrait", kappa=2.5, grid=(5, 5), steps=200),
-    "lyapunov-multi-chunk": dict(kind="lyapunov", kappa=6.0, n_blocks=5000, steps_per_block=2),
-    "entropy-dynamics-multi-chunk": dict(kind="entropy-dynamics", kappa=2.5, j=0.5, steps=1100),
-}
-
-# the field types and values no runner writes
-HAND_BUILT = Dataset("probe", np.array([
-    (True, -3, 1e-300, "gauss_rho_0.3"),
-    (False, 0, float("nan"), ""),
-    (True, np.iinfo(np.int64).max, float("-inf"), "a b"),
-    (False, np.iinfo(np.int64).min, float("inf"), "tab\there"),
-    (False, 7, -0.0, "x"),
-], dtype=[("flag", bool), ("n", np.int64), ("x", np.float64), ("label", "U16")]), {})
-
-# the columns a runner writes as int64
-INT_COLUMNS = {"traj_id", "step", "block", "cell", "teq", "n", "k"}
-
-
-def _render_probe(rows_kind: str, offset) -> Dataset:
-    """A dataset `offset` rows away from the first row count at _SPLIT_WRITE_FIELDS fields.
-
-    offset "3-row tail" asks for at least one more chunk, whose last one
-    has 3 rows.  "wide" rows are portrait records (seven columns), "narrow"
-    rows (int64, float64) records, as a lyapunov or mi-dynamics run writes.
-    "portrait" is a phase-portrait run of 144 trajectories of 51 rows
-    (51,408 fields) whatever the offset: its default group of 5
-    trajectories does not divide them, and the second CPU's range starts
-    inside a group.
-    """
-    if rows_kind == "portrait":
-        return run_experiment(ExperimentConfig("phase-portrait", kappa=2.5, grid=(12, 12),
-                                               steps=50))
-    rng = np.random.default_rng(7)
-    dtype = (PORTRAIT_DTYPE if rows_kind == "wide"
-             else np.dtype([("block", np.int64), ("lambda_running", np.float64)]))
-    count = -(-_SPLIT_WRITE_FIELDS // len(dtype.names))
-    if offset == "3-row tail":
-        count = (count // _WRITE_CHUNK_ROWS + 2) * _WRITE_CHUNK_ROWS + 3
-    else:
-        count += offset
-    rows = np.zeros(count, dtype=dtype)
-    for name in dtype.names:
-        integer = name in INT_COLUMNS
-        rows[name] = rng.integers(0, 10**6, count) if integer else rng.normal(size=count)
-    return Dataset("probe", rows, {})
-
-
-# (rows kind, offset) of each split-render case, by test id
-SPLIT_CASES = {
-    **{f"{name}-{rows_kind}": (rows_kind, offset)
-       for name, offset in [("under", -1), ("at", 0), ("over", 1), ("short-tail", "3-row tail")]
-       for rows_kind in ("wide", "narrow")},
-    "grouped-portrait": ("portrait", None),
-}
-
-
-class TestDatasetOutput:
-    def test_small_configs_cover_every_kind(self):
-        assert set(SMALL_CONFIGS) == set(EXPERIMENT_KINDS)
-
-    @pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
-    def test_rows_hold_native_scalars(self, kind):
-        # the row contract of Dataset.write: one structured array whose
-        # field names are the columns, and whose .tolist() gives native
-        # scalars (str for int, repr for float)
-        ds = run_experiment(ExperimentConfig(kind=kind, **SMALL_CONFIGS[kind]))
-        records = ds.rows[:]
-        assert isinstance(records, np.ndarray) and records.ndim == 1
-        assert records.dtype.names == ds.columns
-        for name in ds.columns:
-            assert (records.dtype[name] == np.int64) == (name in INT_COLUMNS), name
-        rows = records.tolist()
-        assert rows
-        for row in rows:
-            assert len(row) == len(ds.columns)
-            for cell in row:
-                assert type(cell) in (int, float, str, bool), (row, type(cell))
-
-    def test_written_files_are_byte_reproducible(self, tmp_path):
-        cfg = dict(kind="mi-dynamics", kappa=6.0, j=100, count=50, steps=8, seed=1)
-        paths = []
-        for sub in ("a", "b"):
-            ds = run_experiment(ExperimentConfig(**cfg))
-            paths.append(ds.write(tmp_path / sub))
-        for first, second in zip(*paths):
-            assert first.read_bytes() == second.read_bytes()
-
-    def test_csv_floats_round_trip(self, tmp_path):
-        ds = run_experiment(ExperimentConfig(kind="vn-vs-linear"))
-        csv_path, meta_path = ds.write(tmp_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "bloch_norm,s_linear,s_vn"
-        assert len(lines) == 102
-        for line, row in zip(lines[1:], ds.rows):
-            got = tuple(float(cell) for cell in line.split(","))
-            assert got == tuple(float(c) for c in row)
-
-    @pytest.mark.parametrize("name", sorted(WRITER_CONFIGS) + ["hand-built"])
-    def test_csv_bytes_equal_csv_writer(self, tmp_path, name):
-        # csv.writer is the reference rendering of the row contract
-        if name == "hand-built":
-            ds = HAND_BUILT
-        else:
-            ds = run_experiment(ExperimentConfig(**WRITER_CONFIGS[name]))
-        if name.endswith("multi-chunk"):
-            assert len(ds.rows) > _WRITE_CHUNK_ROWS
-        csv_path, _ = ds.write(tmp_path)
-        with open(tmp_path / "oracle.csv", "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(ds.columns)
-            writer.writerows(ds.rows[:].tolist())
-        assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-
-    def test_datasets_compare_by_identity(self):
-        # a portrait's rows are a row source, and array rows' == is elementwise
-        config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(2, 2), steps=3)
-        ds = run_experiment(config)
-        assert ds == ds and ds != run_experiment(config)
-
+class TestRunnerRows:
     def test_portrait_peak_is_its_records(self):
         # the 40,100 records (2.2 MB) are filled in place; the orbit and
         # the angles pass through buffers of a fixed size, not whole copies
@@ -787,7 +498,7 @@ class TestDatasetOutput:
         # whose groups hold all trajectories
         config = ExperimentConfig("phase-portrait", kappa=2.5, grid=(3, 2), steps=300)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "_WRITE_CHUNK_ROWS", 6 * 301)
+            patch.setattr(output, "_WRITE_CHUNK_ROWS", 6 * 301)
             dataset = run_experiment(config)
             assert dataset.rows.group == 6
             batched = dataset.write(tmp_path / "batched")
@@ -854,7 +565,7 @@ class TestDatasetOutput:
         chunk = data.draw(st.integers(1 if group == 1 else size, size + steps),
                           label="write chunk rows")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "_WRITE_CHUNK_ROWS", chunk)
+            patch.setattr(output, "_WRITE_CHUNK_ROWS", chunk)
             rows = _PortraitRows(initials, KickParams(kappa), steps)
         assert rows.group == group and len(rows) == whole.size
         assert rows[:].tobytes() == whole.tobytes()
@@ -868,141 +579,6 @@ class TestDatasetOutput:
             lo = data.draw(st.integers(max(0, edge - size), edge - 1), label="lo")
             hi = data.draw(st.integers(edge + 1, whole.size), label="hi")
             assert rows[lo:hi].tobytes() == whole[lo:hi].tobytes()
-
-    @pytest.mark.parametrize("special", [",", '"', "\r", "\n"],
-                             ids=["comma", "quote", "cr", "lf"])
-    def test_field_needing_quotes_is_refused(self, tmp_path, special):
-        # the bad row sits in the second chunk, after one chunk was written
-        rows = np.rec.fromrecords([("ok", i) for i in range(_WRITE_CHUNK_ROWS)]
-                                  + [(f"a{special}b", 1)], names="case,n")
-        with pytest.raises(ValueError, match="CSV quoting"):
-            Dataset("probe", rows, {}).write(tmp_path)
-        assert list(tmp_path.iterdir()) == []
-
-    @needs_fork
-    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
-    def test_split_render_has_the_bytes_of_one_process(self, tmp_path, monkeypatch, case):
-        # from _SPLIT_WRITE_FIELDS fields on, a second CPU renders the later
-        # rows; row counts just under and over that, none a whole number of
-        # chunks, must give the bytes of one process.  The worker's last
-        # chunk of 3 rows is smaller than a file buffer, so it reaches the
-        # file only if the worker flushes before it exits.  A portrait's
-        # worker steps the groups its rows fall in, here a last group
-        # shorter than the others.
-        rows_kind, offset = SPLIT_CASES[case]
-        ds = _render_probe(rows_kind, offset)
-        if rows_kind == "portrait":
-            assert len(ds.meta["initials"]) % ds.rows.group != 0
-        forks = _count_forks(monkeypatch)
-        _on_cpus(monkeypatch, 1)
-        one = ds.write(tmp_path / "one")[0].read_bytes()
-        assert forks == []
-        _on_cpus(monkeypatch, 2)
-        two = ds.write(tmp_path / "two")[0].read_bytes()
-        assert len(forks) == (offset != -1)
-        assert len(ds.rows) % _WRITE_CHUNK_ROWS != 0
-        assert two == one
-        _assert_no_child_left()
-
-    @needs_fork
-    def test_field_needing_quotes_in_a_workers_rows_is_refused(self, tmp_path, monkeypatch):
-        # one row over the split threshold; the last is in the worker's range.
-        # It raises the one-process error in this process, and neither the
-        # CSV nor a temporary file is left
-        rows = np.zeros(_SPLIT_WRITE_FIELDS // 2 + 1, dtype=[("case", "U3"), ("x", np.float64)])
-        rows["case"] = "ok"
-        rows[-1] = ("a,b", 1.0)
-        ds = Dataset("probe", rows, {})
-        errors = []
-        for cpus in (2, 1):
-            _on_cpus(monkeypatch, cpus)
-            with pytest.raises(ValueError, match="CSV quoting") as caught:
-                ds.write(tmp_path)
-            errors.append(str(caught.value))
-            assert list(tmp_path.iterdir()) == []
-            _assert_no_child_left()
-        assert errors[0] == errors[1]
-
-    def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
-        def refused():
-            raise AssertionError("os.fork called on one CPU")
-
-        monkeypatch.setattr(os, "fork", refused, raising=False)
-        _on_cpus(monkeypatch, 1)
-        _render_probe("wide", 1).write(tmp_path)
-        equilibrium_map(ExperimentConfig(**SUBSET_CASES["thermo-map polar"]))
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf],
-                             ids=["nan", "inf", "-inf"])
-    def test_non_finite_meta_is_refused_before_writing(self, tmp_path, value):
-        # JSON has no NaN or infinity; nothing is written, not even the CSV
-        ds = Dataset("probe", np.rec.fromrecords([("ok", 1)], names="case,n"), {"slope": value})
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            ds.write(tmp_path)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_one_column_dataset_is_refused(self, tmp_path):
-        # csv.writer writes this row as '""'; a bare line would be empty
-        with pytest.raises(ValueError, match="at least two columns"):
-            Dataset("probe", np.rec.fromrecords([("",)], names="case"), {}).write(tmp_path)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_meta_sidecar_holds_config_and_conventions(self, tmp_path):
-        ds = run_experiment(
-            ExperimentConfig(kind="entropy-map", kappa=2.5, j=4, grid=(2, 2), window=(5, 15))
-        )
-        _, meta_path = ds.write(tmp_path)
-        meta = json.loads(meta_path.read_text())
-        assert meta["kind"] == "entropy-map"
-        assert meta["kappa"] == 2.5
-        assert meta["window"] == [5, 15]
-        assert "units" in meta and "version" in meta
-
-
-@needs_fork
-class TestForked:
-    # the fork helper behind the split map pass and CSV render; no test
-    # asks for more parts than this process has CPUs
-    def test_parts_run_in_separate_processes_and_return_in_order(self):
-        parts = list(range(len(CPUS)))
-        results = _forked(lambda part: (part, os.getpid()), parts)
-        assert [part for part, _ in results] == parts
-        assert results[0][1] == os.getpid()
-        assert len({pid for _, pid in results}) == len(parts)
-        _assert_no_child_left()
-
-    def test_a_workers_exception_is_raised_with_its_type_and_message(self):
-        def run(part):
-            if part:
-                raise NotEquilibratedError(f"part {part} failed")
-            return part
-
-        with pytest.raises(NotEquilibratedError, match="^part 1 failed$"):
-            _forked(run, list(range(len(CPUS))))
-        _assert_no_child_left()
-
-    def test_a_worker_that_ends_without_a_result_is_an_error(self):
-        def run(part):
-            if part:
-                os._exit(3)
-            return part
-
-        with pytest.raises(ChildProcessError, match="without a result"):
-            _forked(run, list(range(len(CPUS))))
-        _assert_no_child_left()
-
-    def test_an_interrupted_parent_kills_and_reaps_its_workers(self):
-        # the workers would sleep for a minute; they are killed, not awaited
-        def run(part):
-            if part == 0:
-                raise KeyboardInterrupt
-            time.sleep(60)
-
-        begin = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            _forked(run, list(range(len(CPUS))))
-        assert time.monotonic() - begin < 30
-        _assert_no_child_left()
 
 
 # sha256 of (CSV, .meta.json) for small runs; any change to the output

@@ -575,5 +575,5 @@ class TestScipyOracles:
         assert bits(von_neumann_entropy_single_spin(np.array([0.0, r, 0.0]))) == bits(expected)
 
     def test_pure_state_entropy_is_negative_zero(self):
-        # the negated +0.0 sum; ROADMAP item 6 drops the sign in a version break
+        # the negated +0.0 sum; ROADMAP item 9 drops the sign in a version break
         assert bits(von_neumann_entropy_single_spin(np.array([0.0, 0.0, 1.0]))) == bits(-0.0)
