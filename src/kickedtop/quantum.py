@@ -11,6 +11,7 @@ package.  Bloch vectors are expectation values of (Jx, Jy, Jz) divided by j.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -166,22 +167,95 @@ def coherent_state(j, theta0: float, phi0: float) -> SpinState:
     return SpinState(j=j, amplitudes=amps)
 
 
+# LAPACKE's code for column-major (Fortran-ordered) matrices
+_LAPACK_COL_MAJOR = 102
+
+
+@lru_cache(maxsize=None)
+def _lapack_zheevd():
+    """LAPACKE_zheevd_work of the OpenBLAS numpy loaded, or None where there is none.
+
+    dlsym on numpy's own linalg extension searches the libraries that
+    extension loaded, so this finds numpy's copy of OpenBLAS and loads no
+    second one.  Builds without the 64-bit-integer scipy-openblas LAPACK
+    (numpy 1.x wheels, MKL, Accelerate) export no such symbol.  Looked up
+    at the first build, so importing the package loads nothing.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        zheevd = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_zheevd_work64_
+    except (ImportError, AttributeError, OSError):
+        return None
+    lapack_int, pointer = ctypes.c_int64, ctypes.c_void_p
+    zheevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, lapack_int, pointer,
+                       lapack_int, pointer, pointer, lapack_int, pointer, lapack_int,
+                       pointer, lapack_int]
+    zheevd.restype = lapack_int
+    return zheevd
+
+
+def _eigh_in_place(a: np.ndarray, zheevd) -> np.ndarray:
+    """Eigenvalues of the Hermitian `a`, ascending; its eigenvectors overwrite `a`.
+
+    The same zheevd call as np.linalg.eigh makes, on its lower triangle,
+    with work arrays of the sizes an lwork = -1 query returns, so values
+    and vectors have eigh's bits.  eigh calls it on a Fortran-ordered copy
+    of its input; here `a` must already be that buffer.
+    """
+    n = len(a)
+    if a.dtype != np.complex128 or a.shape != (n, n):
+        raise ValueError(f"expected a square complex128 matrix, got {a.dtype} {a.shape}")
+    if not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("the matrix must be a writeable Fortran-ordered array")
+    vals = np.empty(n)
+
+    def call(work, rwork, iwork, sizes):
+        info = zheevd(_LAPACK_COL_MAJOR, b"V", b"L", n, a.ctypes.data, n, vals.ctypes.data,
+                      work.ctypes.data, sizes[0], rwork.ctypes.data, sizes[1],
+                      iwork.ctypes.data, sizes[2])
+        if info > 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        if info < 0:
+            raise RuntimeError(f"zheevd refused its argument {-info}")
+
+    work, rwork, iwork = np.empty(1, np.complex128), np.empty(1), np.empty(1, np.int64)
+    call(work, rwork, iwork, (-1, -1, -1))
+    sizes = (int(work[0].real), int(rwork[0]), int(iwork[0]))
+    call(np.empty(sizes[0], np.complex128), np.empty(sizes[1]), np.empty(sizes[2], np.int64),
+         sizes)
+    return vals
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _quarter_turn_y(two_j: int) -> np.ndarray:
     """exp(-i (pi/2) Jy) from the eigendecomposition of Jy.
 
-    Jy = (J+ - J-) / 2i is built from the ladder coefficients alone: -i c/2
-    just above the diagonal, +i c/2 just below it.  It is freed once `eigh`
-    returns.
+    Jy = (J+ - J-) / 2i is built from the ladder coefficients alone, in
+    Fortran order: -i c/2 just above the diagonal, +i c/2 just below it.
+    Where numpy's OpenBLAS exports LAPACKE, its zheevd writes the
+    eigenvectors over Jy, so no stage holds more than three dense
+    matrices: Jy and zheevd's two work arrays, then the eigenvectors, a
+    conjugated copy and the product.  Elsewhere np.linalg.eigh makes the
+    same call on a copy of Jy.  Either way the values and vectors have
+    eigh's bits, and the product's operands have its layout: C-ordered
+    eigenvectors.
     """
     coeff = _ladder(two_j)[1]
-    jy = np.zeros((two_j + 1, two_j + 1), dtype=np.complex128)
+    jy = np.zeros((two_j + 1, two_j + 1), dtype=np.complex128, order="F")
     above = np.arange(two_j)
     jy[above, above + 1] = -0.5j * coeff
     jy[above + 1, above] = 0.5j * coeff
-    vals, vecs = np.linalg.eigh(jy)
+    zheevd = _lapack_zheevd()
+    if zheevd is None:
+        vals, vecs = np.linalg.eigh(jy)
+    else:
+        vals = _eigh_in_place(jy, zheevd)
+        vecs = np.ascontiguousarray(jy)
     del jy
-    rot = (vecs * np.exp(-0.5j * np.pi * vals)) @ vecs.conj().T
+    conj = vecs.conj()
+    vecs *= np.exp(-0.5j * np.pi * vals)
+    rot = vecs @ conj.T
     rot.setflags(write=False)
     return rot
 

@@ -33,6 +33,7 @@ from kickedtop import (
     fit_growth_rate,
     floquet_unitary,
     linear_entropy,
+    quantum,
 )
 from kickedtop.cli import _REPORTED_ERRORS, _build_parser, main
 from kickedtop.config import _DEFAULTS, ExperimentConfig
@@ -524,6 +525,20 @@ def test_failed_meta_write_leaves_no_csv(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert [path.name for path in tmp_path.iterdir()] == ["lyapunov.meta.json"]
+
+
+def test_unconverged_eigh_is_one_line_error(tmp_path, capsys, monkeypatch):
+    # zheevd's info > 0 raises eigh's LinAlgError, a ValueError
+    monkeypatch.setattr(quantum, "_lapack_zheevd", lambda: lambda *args: 1)
+    quantum._quarter_turn_y.cache_clear()
+    try:
+        code = main(["entropy-dynamics", "--kappa", "2.5", "--j", "3", "--steps", "2",
+                     "--out", str(tmp_path)])
+    finally:
+        quantum._quarter_turn_y.cache_clear()
+    assert code == 1
+    assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2,

@@ -32,7 +32,7 @@ from kickedtop import (
     spherical_to_cartesian,
     thermo_limit_entropy,
 )
-from kickedtop import bipartite, classical, experiments, output
+from kickedtop import bipartite, classical, experiments, output, quantum
 from kickedtop.config import _resolved
 from kickedtop.experiments import _PortraitRows, _map_values, _thermo_series
 
@@ -698,10 +698,30 @@ PINNED_DIGESTS = {
 }
 
 
+def assert_pinned_bytes(tmp_path, name):
+    cfg, csv_digest, meta_digest = PINNED_DIGESTS[name]
+    csv_path, meta_path = run_experiment(ExperimentConfig(**cfg)).write(tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(meta_path.read_bytes()).hexdigest() == meta_digest
+
+
 class TestPinnedOutputBytes:
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_csv_and_meta_digests(self, tmp_path, name):
-        cfg, csv_digest, meta_digest = PINNED_DIGESTS[name]
-        csv_path, meta_path = run_experiment(ExperimentConfig(**cfg)).write(tmp_path)
-        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
-        assert hashlib.sha256(meta_path.read_bytes()).hexdigest() == meta_digest
+        assert_pinned_bytes(tmp_path, name)
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, (cfg, *_) in PINNED_DIGESTS.items()
+        if cfg["kind"] in ("entropy-map", "entropy-dynamics")))
+    def test_quantum_digests_hold_on_the_eigh_fallback(self, tmp_path, monkeypatch, name):
+        # where numpy's LAPACK exports no LAPACKE zheevd, the quarter turn
+        # comes from np.linalg.eigh, with the same bits
+        eighs, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(quantum, "_lapack_zheevd", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+        quantum._quarter_turn_y.cache_clear()
+        try:
+            assert_pinned_bytes(tmp_path, name)
+        finally:
+            quantum._quarter_turn_y.cache_clear()
+        assert eighs

@@ -201,9 +201,11 @@ class TestFloquetUnitary:
     def test_large_j_build_keeps_no_dense_spin_operators(self):
         # a cold build keeps the cached quarter turn and the returned unitary,
         # two dense 801x801 complex matrices (20.5 MB); cached Jx, Jy, Jz
-        # would add three more.  While it runs, Jy, the eigenvectors and the
-        # product's operands are alive; a dense Jx and Jz beside Jy would
-        # push the peak past 4.5 matrices (46.2 MB)
+        # would add three more.  While it runs, at most three are alive (Jy
+        # and zheevd's two work arrays, then the eigenvectors, their
+        # conjugate and the product; 3.02 measured); a dense Jx or Jz beside
+        # Jy, or an unscaled copy of the eigenvectors beside the product,
+        # would push the peak past 3.5 matrices (35.9 MB)
         caches = [f for f in vars(quantum).values() if hasattr(f, "cache_clear")]
         for cache in caches:
             cache.cache_clear()
@@ -217,7 +219,29 @@ class TestFloquetUnitary:
                 cache.cache_clear()
         assert u.shape == (801, 801)
         assert held < 3 * 801 * 801 * 16, held
-        assert peak < 4.5 * 801 * 801 * 16, peak
+        assert peak < 3.5 * 801 * 801 * 16, peak
+
+    def test_cold_build_raises_peak_rss_by_under_40_mb(self):
+        # tracemalloc misses LAPACK's own buffers; eigh held a copy of Jy
+        # and its output beside zheevd's work arrays, which the process's
+        # high-water mark shows (+51.0 MB against +34.5 MB in place)
+        if not sys.platform.startswith("linux"):
+            pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
+        child = """
+import resource
+from kickedtop import floquet_unitary, quantum
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+floquet_unitary(400, 2.5)
+rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(quantum._lapack_zheevd() is not None, rise / 1024)
+"""
+        src = Path(quantum.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+        in_place, rise_mb = done.stdout.split()
+        if in_place != "True":
+            pytest.skip("numpy's LAPACK exports no LAPACKE zheevd here")
+        assert float(rise_mb) < 40.0, rise_mb
 
 
 class TestLargeJ:
@@ -338,6 +362,105 @@ BLOCKED_TWO_J = (361, 362, 800, 1200)
 KAPPAS = (0.0, 2.5, 6.0)
 
 
+def eigh_oracle(two_j):
+    """Jy, eigh's values and vectors, and the quarter turn as eigh's C-ordered output gave it."""
+    coeff = _ladder(two_j)[1]
+    jy = np.zeros((two_j + 1, two_j + 1), dtype=np.complex128)
+    above = np.arange(two_j)
+    jy[above, above + 1] = -0.5j * coeff
+    jy[above + 1, above] = 0.5j * coeff
+    vals, vecs = np.linalg.eigh(jy)
+    return jy, vals, vecs, (vecs * np.exp(-0.5j * np.pi * vals)) @ vecs.conj().T
+
+
+def assert_matches_eigh_oracle(two_j):
+    jy, vals, vecs, rot = eigh_oracle(two_j)
+    zheevd = quantum._lapack_zheevd()
+    if zheevd is not None:
+        in_place = np.asfortranarray(jy)
+        assert quantum._eigh_in_place(in_place, zheevd).tobytes() == vals.tobytes(), two_j
+        assert np.ascontiguousarray(in_place).tobytes() == vecs.tobytes(), two_j
+    built = _quarter_turn_y.__wrapped__(two_j)
+    assert built.flags.c_contiguous and built.tobytes() == rot.tobytes(), two_j
+
+
+def read_only(matrix):
+    matrix.setflags(write=False)
+    return matrix
+
+
+class TestQuarterTurn:
+    # the in-place zheevd and the finished build must give the bits of
+    # np.linalg.eigh and of the product on its output
+
+    @settings(max_examples=40, deadline=None)
+    @given(two_j=st.integers(1, 129))
+    def test_small_spins_match_the_eigh_oracle(self, two_j):
+        assert_matches_eigh_oracle(two_j)
+
+    @pytest.mark.parametrize("two_j", BLOCKED_TWO_J)
+    def test_large_spins_match_the_eigh_oracle(self, two_j):
+        assert_matches_eigh_oracle(two_j)
+
+    def test_numpy_openblas_takes_the_in_place_path(self, monkeypatch):
+        # a lookup that silently missed would fall back to eigh and lose
+        # the memory the in-place call saves
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        if lapack["name"] != "scipy-openblas" or "USE64BITINT" not in str(lapack):
+            pytest.skip(f"numpy's LAPACK is {lapack['name']}, not the 64-bit scipy-openblas")
+        assert quantum._lapack_zheevd() is not None
+
+        def refused(a):
+            raise AssertionError("the build fell back to np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        assert _quarter_turn_y.__wrapped__(4).shape == (5, 5)
+
+    def test_import_looks_up_no_library(self):
+        # the lookup runs at the first build, so runs that build no unitary
+        # (the orbit kinds) never pay for it
+        child = """
+import ctypes, json
+import numpy
+loads = []
+ctypes.CDLL = lambda *args, _load=ctypes.CDLL, **kwargs: loads.append(args) or _load(*args, **kwargs)
+from kickedtop import floquet_unitary, quantum
+on_import = [len(loads), quantum._lapack_zheevd.cache_info().currsize]
+floquet_unitary(1, 1.0)
+print(json.dumps([on_import, quantum._lapack_zheevd.cache_info().currsize]))
+"""
+        src = Path(quantum.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "[[0, 0], 1]", done.stdout
+
+    @pytest.mark.parametrize("info, error, message", [
+        (3, np.linalg.LinAlgError, "^Eigenvalues did not converge$"),
+        (-6, RuntimeError, "argument 6$"),
+    ])
+    def test_lapack_error_codes_raise(self, info, error, message):
+        calls = []
+        with pytest.raises(error, match=message):
+            quantum._eigh_in_place(np.zeros((3, 3), np.complex128, order="F"),
+                                   lambda *args: calls.append(args) or info)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("matrix", [
+        np.zeros((3, 3), np.complex128),
+        np.zeros((3, 3), order="F"),
+        np.zeros((3, 3), np.complex64, order="F"),
+        np.zeros((3, 4), np.complex128, order="F"),
+        np.zeros(3, np.complex128),
+        np.zeros((6, 6), np.complex128, order="F")[::2, ::2],
+        read_only(np.zeros((3, 3), np.complex128, order="F")),
+    ], ids=["c-order", "float64", "complex64", "not-square", "1-d", "strided", "read-only"])
+    def test_refuses_a_matrix_before_passing_its_pointer(self, matrix):
+        calls = []
+        with pytest.raises(ValueError):
+            quantum._eigh_in_place(matrix, lambda *args: calls.append(args) or 0)
+        assert not calls
+
+
 class TestStackedKernel:
     # _evolve_blochs must give every state the bits of stepping it alone,
     # as per_state_oracle does with `unitary @ psi` and 1-D sums
@@ -357,11 +480,12 @@ class TestStackedKernel:
 
     def test_oracle_holds_with_one_blas_thread(self):
         # the default run uses OpenBLAS's own thread count; a BLAS whose
-        # zgemv rows depend on the row count or the thread split fails here
+        # zgemv rows depend on the row count or the thread split, or an
+        # in-place zheevd that differs from eigh at one thread, fails here
         root = Path(__file__).resolve().parents[1]
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{Path(__file__).resolve()}::TestStackedKernel", "-k", "per_state_oracle"],
+             str(Path(__file__).resolve()), "-k", "per_state_oracle or eigh_oracle"],
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, cwd=root,
             capture_output=True, text=True, timeout=600,
         )
