@@ -23,8 +23,15 @@ from itertools import islice
 
 import numpy as np
 
-from . import output
-from .bipartite import CapDistribution, _cap_vectors, pair_x_steps, sample_pairs
+from . import mutual_info, output
+from .bipartite import (
+    CapDistribution,
+    _cap_vectors,
+    _pair_checks,
+    _unit_j,
+    pair_x_steps,
+    sample_pairs,
+)
 from .classical import (
     PORTRAIT_DTYPE,
     KickedTopError,
@@ -191,31 +198,46 @@ class EquilibriumMap:
     failures: list = field(default_factory=list)
 
 
+def _mi_caps(center, spread1, j):
+    """The two caps, (spread1, 1/j) steradians, of the bipartite ensemble around `center`."""
+    point = SphericalPoint(*center)
+    return [CapDistribution(center=point, solid_angle=spread1),
+            CapDistribution(center=point, solid_angle=1.0 / j)]
+
+
 def _mi_start(center, spread1, j, count, seed):
     """Initial (n1, n2) of the bipartite ensemble around `center`."""
-    point = SphericalPoint(*center)
-    dist1 = CapDistribution(center=point, solid_angle=spread1)
-    dist2 = CapDistribution(center=point, solid_angle=1.0 / j)
-    return sample_pairs(dist1, dist2, j, count, seed)
+    return sample_pairs(*_mi_caps(center, spread1, j), j, count, seed)
 
 
 def _mi_series(starts, params, j, window, k):
     """KSG MI (nats) of each bipartite ensemble at steps window[0]..window[1].
 
     starts holds one (n1, n2) pair of equal-sized ensembles per row; all
-    of them step together as one stacked array, and only the current step
-    is held, so memory stays O(rows * count + rows * window).  Each
-    window step makes one `ksg_mi` call on the (rows, count, 2) stack, so
-    its ValueError belongs to the whole stack and propagates.  Returns a
-    (len(starts), window length) array.
+    of them step together as one stacked array.  Consecutive window steps
+    are gathered into one `ksg_mi` call on a (steps * rows, count, 2)
+    stack, as many steps as keep it within mutual_info._KNN_CHUNK samples
+    (read at call time), at least one; each entry of a stack has the bits
+    of a lone call, so the values do not depend on how the steps are
+    grouped.  Memory stays O(rows * count + rows * window) plus one stack.
+    A `ksg_mi` ValueError belongs to the whole stack and propagates, with
+    the message a per-step call gives (its refusals do not depend on which
+    rows a stack holds).  Returns a (len(starts), window length) array.
     """
     lo, hi = window
+    rows, count = len(starts), len(starts[0][0])
     n1 = np.concatenate([n1 for n1, _ in starts])
     n2 = np.concatenate([n2 for _, n2 in starts])
-    values = np.empty((len(starts), hi - lo + 1))
+    values = np.empty((rows, hi - lo + 1))
+    group = max(1, mutual_info._KNN_CHUNK // (rows * count))  # window steps per ksg_mi call
+    stack = np.empty((min(group, hi - lo + 1), rows * count, 2))
     steps = pair_x_steps(n1, n2, params, j, hi)
     for col, xs in enumerate(islice(steps, lo, None)):
-        values[:, col] = ksg_mi(xs.T.reshape(len(starts), -1, 2), k=k).value
+        stack[col % group] = xs.T
+        if col % group == group - 1 or col == hi - lo:
+            first = col - col % group
+            mi = ksg_mi(stack[:col + 1 - first].reshape(-1, count, 2), k=k).value
+            values[:, first:col + 1] = mi.reshape(-1, rows).T
     return values
 
 
@@ -271,12 +293,15 @@ def _map_values(config: ExperimentConfig, cells=None, workers: int = 1):
 
     `config` must be resolved (see _resolved), so its grid and window are
     set and checked.  Every cell gets its own start: a coherent state, or an
-    ensemble drawn from the child stream keyed by its index.  The started
-    cells then go through their kind's series function together, and each
-    value is the mean of its cell's window.  A failed cell keeps NaN; one
-    `ksg_mi` call serves every started cell, so its ValueError fails them
-    all.  The Floquet unitary is built only when some cell started, so a
-    bad j fails every cell alike.
+    ensemble drawn from the child streams keyed by its index.  The per-cell
+    checks (the poles, then j, and for mi-map the ensemble size) run in
+    cell order; then one vectorised draw (bipartite._cap_vectors) gives
+    the ensembles of every started cell.  The started cells go through
+    their kind's series function together, and each value is the mean of
+    its cell's window.  A failed cell keeps NaN; each `ksg_mi` call serves
+    every started cell, so a ValueError from any of them fails them all.
+    The Floquet unitary is built only when some cell started, so a bad j
+    fails every cell alike.
 
     With `workers` > 1 the cells are dealt out as cells[w::workers], one
     share per process (_forked), and each share runs the pass above on its
@@ -312,30 +337,34 @@ def _map_share(config: ExperimentConfig, cells):
     kind, j = config.kind, config.j
     n_theta, n_phi = config.grid
     thetas, phis = grid_centers(n_theta, n_phi)
-    started, starts, failures = [], [], []
+    started, starts, caps, failures = [], [], [], []
     for row, cell in enumerate(cells):
         if not 0 <= cell < n_theta * n_phi:
             raise IndexError(f"cell_index {cell} out of range for {n_theta}x{n_phi}")
         center = (float(thetas[cell // n_phi]), float(phis[cell % n_phi]))
         try:
             if kind == "entropy-map":
-                # takes no seed, so the run never loads numpy.random
-                start = coherent_state(j, *center)
+                starts.append(coherent_state(j, *center))
+            elif kind == "thermo-map":
+                cap = CapDistribution(center=SphericalPoint(*center), solid_angle=1.0 / j)
+                _unit_j(j)
+                caps.append(((cell,), cap))
             else:
-                cell_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(cell,))
-                if kind == "thermo-map":
-                    cap = CapDistribution(center=SphericalPoint(*center), solid_angle=1.0 / j)
-                    start = _cap_vectors(cap, config.count, cell_seed)
-                else:
-                    start = _mi_start(center, config.spread1, j, config.count, cell_seed)
+                cap1, cap2 = _mi_caps(center, config.spread1, j)
+                _pair_checks(j, config.count)
+                caps += [((cell, 0), cap1), ((cell, 1), cap2)]
         except ValueError as exc:
             failures.append((cell, str(exc)))
             continue
         started.append(row)
-        starts.append(start)
     values = np.full(len(cells), np.nan)
-    if not starts:
+    if not started:
         return values, failures, started, None
+    if caps:
+        # one draw for every started cell, each cap from the streams of its spawn key
+        keys, dists = zip(*caps)
+        vectors = _cap_vectors(dists, config.count, config.seed, keys)
+        starts = list(vectors) if kind == "thermo-map" else list(zip(vectors[::2], vectors[1::2]))
     params = KickParams(config.kappa)
     if kind == "entropy-map":
         windows = _entropy_series(starts, floquet_unitary(j, config.kappa), config.window)

@@ -5,7 +5,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kickedtop import (
@@ -18,6 +18,27 @@ from kickedtop import (
     sample_pairs,
     spherical_to_cartesian,
 )
+from kickedtop.bipartite import _cap_points
+
+
+def per_point_oracle(dist, count, seed):
+    """sample_cap's reference: one numpy generator per point, drawn in turn.
+
+    Point i takes cos(theta) and then phi, each one Generator.uniform call,
+    from default_rng(SeedSequence(entropy, spawn_key=spawn_key + (i,))).
+    """
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    (t_lo, t_hi), (p_lo, p_hi) = dist.bounds()
+    cos_hi, cos_lo = np.cos(t_hi), np.cos(t_lo)
+    cos_theta = np.empty(count)
+    phi = np.empty(count)
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=root.entropy, spawn_key=root.spawn_key + (i,)
+        ))
+        cos_theta[i] = rng.uniform(cos_hi, cos_lo)
+        phi[i] = rng.uniform(p_lo, p_hi)
+    return np.column_stack([np.arccos(cos_theta), phi])
 
 
 def unit(theta, phi):
@@ -183,19 +204,57 @@ class TestSampleCap:
         with pytest.raises(ValueError):
             sample_cap(dist, 0, 1)
 
-    def test_matches_per_point_draws(self):
-        # reference: one generator per point, bounds and arccos per point
+    @settings(deadline=None, max_examples=60)
+    @given(
+        entropy=st.one_of(st.sampled_from([0, 1, 7919, 2**32, 2**64]),
+                          st.integers(0, 2**31), st.integers(2**32, 2**64 - 1),
+                          st.integers(2**64, 2**130),
+                          st.lists(st.integers(0, 2**70), max_size=3)),
+        caps=st.lists(st.tuples(
+            st.floats(1e-3, np.pi - 1e-3), st.floats(0.0, 2 * np.pi), st.floats(1e-9, 0.5),
+            st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+                     max_size=3).map(tuple),
+        ), min_size=1, max_size=3),
+        count=st.integers(1, 1000),
+    )
+    @example(entropy=2**64 + 3, caps=[(0.02, 1.0, 1e-4, ()), (1.0, 5.0, 0.3, (2**40, 1))],
+             count=1000)
+    def test_matches_per_point_generators(self, entropy, caps, count):
+        # a cap within 0.02 rad of a pole, entropy of one to five 32-bit
+        # words or a list of ints, spawn keys empty or with elements of two
+        # or three words, and caps whose keys differ in length drawn together
+        dists = []
+        for theta, phi, solid_angle, _ in caps:
+            try:
+                dists.append(CapDistribution(SphericalPoint(theta, phi), solid_angle))
+            except ValueError:
+                assume(False)
+        keys = [key for *_, key in caps]
+        drawn = _cap_points(dists, count, entropy, keys)
+        for dist, key, points in zip(dists, keys, drawn, strict=True):
+            seed = np.random.SeedSequence(entropy, spawn_key=key)
+            expected = per_point_oracle(dist, count, seed)
+            np.testing.assert_array_equal(points, expected)
+            np.testing.assert_array_equal(sample_cap(dist, count, seed), expected)
+        if not keys[0]:
+            np.testing.assert_array_equal(sample_cap(dists[0], count, entropy), drawn[0])
+
+    @pytest.mark.parametrize("root", [np.random.SeedSequence(11, spawn_key=(4,)),
+                                      np.random.SeedSequence(2**64 + 1)], ids=["keyed", "root"])
+    def test_spawned_children_match_per_point_generators(self, root):
         dist = CapDistribution(center=SphericalPoint(2.0, 5.0), solid_angle=0.3)
-        root = np.random.SeedSequence(entropy=42, spawn_key=(3,))
-        expected = []
-        for i in range(40):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=42, spawn_key=(3, i))
-            )
-            (t_lo, t_hi), (p_lo, p_hi) = dist.bounds()
-            theta = float(np.arccos(rng.uniform(np.cos(t_hi), np.cos(t_lo))))
-            expected.append((theta, float(rng.uniform(p_lo, p_hi))))
-        np.testing.assert_array_equal(sample_cap(dist, 40, root), expected)
+        for child in root.spawn(2):
+            np.testing.assert_array_equal(sample_cap(dist, 40, child),
+                                          per_point_oracle(dist, 40, child))
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed entropy must be a non-negative integer, got -1"),
+        (np.random.SeedSequence(3, spawn_key=(2,), pool_size=8), "seed pool size must be 4, got 8"),
+    ], ids=["negative", "pool-size-8"])
+    def test_rejects_seeds_it_cannot_reproduce(self, seed, message):
+        dist = CapDistribution(center=SphericalPoint(1.0, 1.0), solid_angle=0.1)
+        with pytest.raises(ValueError, match=message):
+            sample_cap(dist, 5, seed)
 
 
 class TestEvolveEnsemble:

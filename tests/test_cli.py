@@ -293,7 +293,15 @@ class TestFailurePaths:
         ("thermo-map --kappa 2.5 --j 0.3 --grid 2 2 --count 20 --window 2 4",
          "all 4 cells of the thermo-map failed; 2 with: "
          "patch of width 2.1712 around theta=0.7854 overlaps a pole"),
-    ], ids=["mi-map-count", "mi-map-k", "mi-map-j", "entropy-map-j", "thermo-map-j"])
+        # thermo-map checks j as mi-map does, after the pole checks; it
+        # used to write a map at both
+        ("thermo-map --kappa 2.5 --j 0.7 --grid 4 2 --count 20 --window 2 4",
+         "all 8 cells of the thermo-map failed; 4 with: j must be a half-integer >= 1, got 0.7"),
+        ("thermo-map --kappa 2.5 --j 1e308 --grid 4 2 --count 20 --window 2 4",
+         "all 8 cells of the thermo-map failed; 8 with: "
+         "j must be a half-integer >= 1, got 1e+308"),
+    ], ids=["mi-map-count", "mi-map-k", "mi-map-j", "entropy-map-j", "thermo-map-j",
+            "thermo-map-j-0.7", "thermo-map-j-1e308"])
     def test_map_with_no_evaluable_cell_is_one_line_error(self, tmp_path, capsys, argv, message):
         # these used to write an all-NaN map and exit 0
         code = main(argv.split() + ["--out", str(tmp_path / "run")])
@@ -474,7 +482,8 @@ def test_no_run_imports_scipy(tmp_path):
     # it, so neither the import nor a run of any kind may load a scipy module.
     # The worker processes are plain forks: no multiprocessing or
     # concurrent.futures either.  A kind that takes no seed does not load
-    # numpy.random (about 16 ms of import and 6 MB).
+    # numpy.random (about 11 ms of import and 6 MB), and neither do the
+    # seeded map kinds, which draw their caps without numpy's generators.
     child = """
 import json, sys
 def scipy_modules():
@@ -490,12 +499,12 @@ for argv in (
     ["entropy-dynamics", "--kappa", "2.5", "--j", "2", "--steps", "3"],
     ["entropy-map", "--kappa", "2.5", "--j", "2", "--grid", "2", "2"],
     ["vn-vs-linear"],
+    ["thermo-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "8", "--window", "1", "2"],
+    ["mi-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "20", "--window", "1", "2"],
 ):
     assert main(argv + ["--out", out]) == 0, argv
 unseeded_random = "numpy.random" in sys.modules
 for argv in (
-    ["thermo-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "8", "--window", "1", "2"],
-    ["mi-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "20", "--window", "1", "2"],
     ["mi-dynamics", "--kappa", "2.5", "--j", "10", "--count", "20", "--steps", "3"],
     ["teq-scaling", "--kappa", "2.5", "--j-list", "5", "10", "--count", "20", "--steps", "30"],
     ["mi-selftest", "--count", "50"],

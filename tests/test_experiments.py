@@ -5,6 +5,7 @@ import hashlib
 import re
 import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -25,16 +26,19 @@ from kickedtop import (
     estimate_teq,
     fit_growth_rate,
     grid_centers,
+    ksg_mi,
     map_cell_value,
+    pair_x_steps,
     phase_portrait,
     run_experiment,
     sample_cap,
+    sample_pairs,
     spherical_to_cartesian,
     thermo_limit_entropy,
 )
-from kickedtop import bipartite, classical, experiments, output, quantum
+from kickedtop import bipartite, classical, experiments, mutual_info, output, quantum
 from kickedtop.config import _resolved
-from kickedtop.experiments import _PortraitRows, _map_values, _thermo_series
+from kickedtop.experiments import _PortraitRows, _map_values, _mi_series, _thermo_series
 
 from helpers import CPUS, assert_no_child_left, count_forks, needs_fork, on_cpus
 
@@ -282,6 +286,56 @@ class TestGridAndMaps:
                 assert values[row, t] == thermo_limit_entropy(vecs)
                 vecs = classical_step(vecs, params)
 
+    @pytest.mark.parametrize("chunk, calls", [(1, 11), (4 * 3 * 40 + 5, 3), (2**17, 1)],
+                             ids=["one-step", "remainder", "whole-window"])
+    def test_mi_series_has_the_bits_of_per_step_calls(self, monkeypatch, chunk, calls):
+        # _mi_series puts as many window steps into one ksg_mi call as keep
+        # it within mutual_info._KNN_CHUNK samples, at least one: the 11
+        # steps of 3 ensembles of 40 go as 11 x 1, 4 + 4 + 3, and 11
+        params = KickParams(6.0)
+        point = SphericalPoint(1.2, 2.0)
+        dists = (CapDistribution(point, 0.25), CapDistribution(point, 0.01))
+        starts = [sample_pairs(*dists, 100, 40, seed) for seed in range(3)]
+        n1, n2 = (np.concatenate(part) for part in zip(*starts))
+        steps = islice(pair_x_steps(n1, n2, params, 100, 12), 2, None)
+        per_step = np.array([ksg_mi(xs.T.reshape(3, -1, 2)).value for xs in steps]).T
+        seen = []
+        monkeypatch.setattr(experiments, "ksg_mi",
+                            lambda samples, k: seen.append(len(samples)) or ksg_mi(samples, k=k))
+        monkeypatch.setattr(mutual_info, "_KNN_CHUNK", chunk)
+        values = _mi_series(starts, params, 100, (2, 12), 3)
+        assert values.tobytes() == per_step.tobytes()
+        assert len(seen) == calls and sum(seen) == 3 * 11
+
+    def test_split_stacks_keep_the_map_refusal(self, monkeypatch, one_cpu):
+        # a stack of fewer window steps still fails every started cell with
+        # ksg_mi's message (k=11 needs 13 samples), and a refusal of only
+        # the last of three stacks fails them all as well
+        refused = _resolved(ExperimentConfig(**SUBSET_CASES["mi-map refused"]))
+        polar = _resolved(ExperimentConfig(**SUBSET_CASES["mi-map polar"]))
+        expected = _map_values(refused)
+        polar_failures = _map_values(polar)[1]
+        monkeypatch.setattr(mutual_info, "_KNN_CHUNK", 1)
+        values, failures = _map_values(refused)
+        assert values.tobytes() == expected[0].tobytes() and failures == expected[1]
+        # 4 started cells of 20: stacks of 4, 4 and 3 of the 11 window steps
+        monkeypatch.setattr(mutual_info, "_KNN_CHUNK", 4 * 4 * 20)
+        ksg, calls = experiments.ksg_mi, []
+
+        def refuse_third(samples, k):
+            calls.append(len(samples))
+            if len(calls) == 3:
+                raise ValueError("samples must be finite")
+            return ksg(samples, k=k)
+
+        monkeypatch.setattr(experiments, "ksg_mi", refuse_third)
+        values, failures = _map_values(polar)
+        assert calls == [16, 16, 12] and np.all(np.isnan(values))
+        started = sorted(set(range(8)) - {cell for cell, _ in polar_failures})
+        assert len(started) == 4
+        assert sorted(failures) == sorted(
+            polar_failures + [(cell, "samples must be finite") for cell in started])
+
     def test_mi_map_memory_does_not_grow_with_window_end(self, one_cpu):
         # the ensembles are stepped in place; no (steps + 1, cells * count)
         # series is kept, so moving the window late costs no memory.  Such
@@ -341,11 +395,12 @@ class TestGridAndMaps:
         # every started cell steps through one stacked kernel call
         ("entropy-map", 4, (2, 2), {"coherent_state": 4, "floquet_unitary": 1,
                                     "_evolve_blochs": 1}),
-        # j=1 gives a patch of width 1: the rows at theta=0.39 and 2.75 are polar
-        ("thermo-map", 1, (4, 2), {"bipartite.sample_cap": 4}),
-        # rows 0 and 3 are polar; a started cell draws two caps; one ksg_mi
-        # call per window step serves every cell
-        ("mi-map", 100, (4, 2), {"bipartite.sample_cap": 8, "ksg_mi": 3}),
+        # j=1 gives a patch of width 1: the rows at theta=0.39 and 2.75 are
+        # polar; the started cells' caps come from one draw, not sample_cap
+        ("thermo-map", 1, (4, 2), {"_cap_vectors": 1}),
+        # rows 0 and 3 are polar; one draw serves both caps of every started
+        # cell, and one ksg_mi call serves every cell at all 3 window steps
+        ("mi-map", 100, (4, 2), {"_cap_vectors": 1, "ksg_mi": 1}),
     ])
     def test_map_pass_looks_kernels_up_at_call_time(self, monkeypatch, one_cpu, kind, j, grid,
                                                     calls):
@@ -359,7 +414,8 @@ class TestGridAndMaps:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("coherent_state", "floquet_unitary", "_evolve_blochs", "ksg_mi"):
+        for name in ("coherent_state", "floquet_unitary", "_evolve_blochs", "ksg_mi",
+                     "_cap_vectors"):
             monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
         monkeypatch.setattr(bipartite, "sample_cap",
                             counted("bipartite.sample_cap", bipartite.sample_cap))

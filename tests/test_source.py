@@ -156,6 +156,18 @@ def test_no_module_spawns_seed_sequences():
     assert spawns == []
 
 
+def test_sampler_builds_no_numpy_generator():
+    # bipartite draws every cap point from numpy's seeding and PCG64
+    # algorithms as array arithmetic; a per-point generator lives only in
+    # the oracle of tests/test_bipartite.py
+    calls = [
+        node.lineno for node in ast.walk(TREES["bipartite"])
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "default_rng"
+    ]
+    assert calls == []
+
+
 def test_tracer_only_alias_is_never_read():
     # experiments.evolve_ensemble exists only for perfbench's tracer to patch;
     # a read anywhere would route a runner's calls through that alias
