@@ -40,7 +40,7 @@ from .classical import (
     classical_step,
     phase_portrait,
 )
-from .config import ExperimentConfig, _resolved
+from .config import ExperimentConfig, _is_int, _resolved
 from .lyapunov import benettin_lyapunov
 from .mutual_info import ksg_mi
 from .output import Dataset, _forked, _worker_count
@@ -175,8 +175,8 @@ def grid_centers(n_theta: int, n_phi: int):
     theta_i = (i + 1/2) pi / n_theta, phi_k = (k + 1/2) 2 pi / n_phi;
     cell_index = i * n_phi + k.
     """
-    if n_theta < 1 or n_phi < 1:
-        raise ValueError(f"grid must be at least 1x1, got {n_theta}x{n_phi}")
+    if not (_is_int(n_theta) and _is_int(n_phi) and n_theta >= 1 and n_phi >= 1):
+        raise ValueError(f"grid must be integers of at least 1x1, got {n_theta!r}x{n_phi!r}")
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     return thetas, phis
@@ -220,9 +220,9 @@ def _mi_series(starts, params, j, window, k):
     (read at call time), at least one; each entry of a stack has the bits
     of a lone call, so the values do not depend on how the steps are
     grouped.  Memory stays O(rows * count + rows * window) plus one stack.
-    A `ksg_mi` ValueError belongs to the whole stack and propagates, with
-    the message a per-step call gives (its refusals do not depend on which
-    rows a stack holds).  Returns a (len(starts), window length) array.
+    A `ksg_mi` ValueError propagates with the message a per-step call gives
+    (it does not depend on the rows a stack holds; maps check the size per
+    cell).  Returns a (len(starts), window length) array.
     """
     lo, hi = window
     rows, count = len(starts), len(starts[0][0])
@@ -294,21 +294,18 @@ def _map_values(config: ExperimentConfig, cells=None, workers: int = 1):
     `config` must be resolved (see _resolved), so its grid and window are
     set and checked.  Every cell gets its own start: a coherent state, or an
     ensemble drawn from the child streams keyed by its index.  The per-cell
-    checks (the poles, then j, and for mi-map the ensemble size) run in
-    cell order; then one vectorised draw (bipartite._cap_vectors) gives
-    the ensembles of every started cell.  The started cells go through
-    their kind's series function together, and each value is the mean of
-    its cell's window.  A failed cell keeps NaN; each `ksg_mi` call serves
-    every started cell, so a ValueError from any of them fails them all.
-    The Floquet unitary is built only when some cell started, so a bad j
-    fails every cell alike.
+    checks (the poles, then j, and for mi-map the ensemble size and ksg_mi's
+    k and sample count) run in cell order; then one vectorised draw
+    (bipartite._cap_vectors) gives the ensembles of every started cell.
+    The started cells go through their kind's series function together,
+    and each value is the mean of its cell's window.  A failed cell keeps
+    NaN; any other `ksg_mi` ValueError fails the run.  The Floquet unitary
+    is built only when some cell started, so a bad j fails every cell alike.
 
     With `workers` > 1 the cells are dealt out as cells[w::workers], one
     share per process (_forked), and each share runs the pass above on its
-    own.  A `ksg_mi` refusal in any share fails the started cells of every
-    share with its message, as one stacked call would (ksg_mi's refusal
-    messages do not depend on which rows a stack holds), so the result
-    does not depend on `workers`.
+    own.  ksg_mi's messages do not depend on which rows a stack holds, so
+    the result, or the error, does not depend on `workers`.
     """
     if config.kind not in _MAP_KINDS:
         raise ValueError(f"kind must be one of {_MAP_KINDS}, got {config.kind!r}")
@@ -317,23 +314,14 @@ def _map_values(config: ExperimentConfig, cells=None, workers: int = 1):
     shares = _forked(functools.partial(_map_share, config),
                      [cells[w::workers] for w in range(workers)])
     values, failures = np.full(len(cells), np.nan), []
-    refusal = next((share[3] for share in shares if share[3] is not None), None)
-    for w, (share_values, share_failures, started, _) in enumerate(shares):
+    for w, (share_values, share_failures) in enumerate(shares):
+        values[w::workers] = share_values
         failures += share_failures
-        if refusal is None:
-            values[w::workers] = share_values
-        else:
-            share_cells = cells[w::workers]
-            failures += [(share_cells[row], refusal) for row in started]
     return values, failures
 
 
 def _map_share(config: ExperimentConfig, cells):
-    """One share of a map pass: (values, failures, started rows, ksg_mi refusal or None).
-
-    The pass of _map_values on `cells`, except that a `ksg_mi` ValueError
-    is returned as its message instead of failing the started cells.
-    """
+    """One share of a map pass: the (values, failures) of _map_values on `cells`."""
     kind, j = config.kind, config.j
     n_theta, n_phi = config.grid
     thetas, phis = grid_centers(n_theta, n_phi)
@@ -352,6 +340,7 @@ def _map_share(config: ExperimentConfig, cells):
             else:
                 cap1, cap2 = _mi_caps(center, config.spread1, j)
                 _pair_checks(j, config.count)
+                mutual_info._ksg_checks(config.count, config.k)
                 caps += [((cell, 0), cap1), ((cell, 1), cap2)]
         except ValueError as exc:
             failures.append((cell, str(exc)))
@@ -359,7 +348,7 @@ def _map_share(config: ExperimentConfig, cells):
         started.append(row)
     values = np.full(len(cells), np.nan)
     if not started:
-        return values, failures, started, None
+        return values, failures
     if caps:
         # one draw for every started cell, each cap from the streams of its spawn key
         keys, dists = zip(*caps)
@@ -372,13 +361,10 @@ def _map_share(config: ExperimentConfig, cells):
         windows, failed = _thermo_series(starts, params, config.window)
         failures += [(cells[started[row]], reason) for row, reason in failed]
     else:
-        try:
-            windows = _mi_series(starts, params, j, config.window, config.k)
-        except ValueError as exc:
-            return values, failures, started, str(exc)
+        windows = _mi_series(starts, params, j, config.window, config.k)
     for row, series in zip(started, windows):
         values[row] = float(np.mean(series))
-    return values, failures, started, None
+    return values, failures
 
 
 def map_cell_value(config: ExperimentConfig, cell_index: int) -> float:
@@ -404,7 +390,7 @@ def equilibrium_map(config: ExperimentConfig) -> EquilibriumMap:
     Unset fields take the kind's defaults, as in run_experiment.  A cell
     whose patch overlaps a pole (or any other per-cell ValueError) is
     recorded in `failures`, in cell order, and left as NaN.  A kind that
-    is not a map kind raises.
+    is not a map kind, or any other `ksg_mi` error, raises.
 
     A thermo-map or mi-map runs on every CPU this process may use
     (os.sched_getaffinity; `taskset -c 0` gives one): its cells are dealt

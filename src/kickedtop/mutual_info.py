@@ -21,6 +21,7 @@ the bits of a k-d tree's max-norm query without one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -208,11 +209,20 @@ def _strict_marginal_counts(values: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return np.where(eps > 0.0, np.maximum(counts, 0), 0)
 
 
+def _ksg_checks(n: int, k) -> None:
+    """ksg_mi's checks of k and of n, the sample count of each ensemble."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if n < k + 2:
+        raise ValueError(f"need at least k + 2 = {k + 2} samples, got {n}")
+
+
 def ksg_mi(samples, k: int = 3) -> MIEstimate:
     """Mutual information of paired scalars, neighbour variant 1, in nats.
 
     samples: (n, 2) array of (a, b) pairs, or a (B, n, 2) stack of B
-    independent ensembles of n pairs each; n >= k + 2, all values finite.
+    independent ensembles of n pairs each; k is an integer >= 1, n >= k + 2
+    and all values are finite.
     A stack gives `value` as a (B,) array whose entry i has the bits of
     ksg_mi(samples[i]).value, and `n` is the per-ensemble count.  Both
     marginals of each ensemble are standardised before distances are
@@ -228,10 +238,7 @@ def ksg_mi(samples, k: int = 3) -> MIEstimate:
     # call uses; a row strided in memory would be summed in another order
     stack = np.ascontiguousarray(pairs if pairs.ndim == 3 else pairs[np.newaxis])
     n = stack.shape[1]
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n < k + 2:
-        raise ValueError(f"need at least k + 2 = {k + 2} samples, got {n}")
+    _ksg_checks(n, k)
     if not np.all(np.isfinite(stack)):
         raise ValueError("samples must be finite")
     a = _jitter(_standardise(stack[..., 0]), axis=0)

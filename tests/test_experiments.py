@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import os
 import re
 import tracemalloc
 from collections import Counter
@@ -121,8 +122,8 @@ class TestFitGrowthRate:
 
 
 # map configs with cells that fail: polar rows (thermo-map at j=1, mi-map
-# at j=100) and an MI refusal that hits every started cell (k=11 needs 13
-# samples per ensemble)
+# at j=100) and, between them, ksg_mi's size check (k=11 needs 13 samples
+# per ensemble)
 SUBSET_CASES = {
     "entropy-map": dict(kind="entropy-map", kappa=2.5, j=4, grid=(2, 3), window=(5, 15)),
     "thermo-map polar": dict(kind="thermo-map", kappa=2.5, j=1, grid=(4, 2), count=20,
@@ -141,33 +142,21 @@ def _full_map_pass(case):
     return _map_values(config, range(config.grid[0] * config.grid[1]))
 
 
-def _refuse_stacks_holding(patch, config, cell):
-    """Make ksg_mi refuse, at any window step, every stack that holds `cell`'s ensemble."""
-    ksg_mi, seen = experiments.ksg_mi, set()
-
-    def recording(samples, k):
-        seen.update(row.tobytes() for row in samples)
-        return ksg_mi(samples, k=k)
-
-    def refusing(samples, k):
-        if any(row.tobytes() in seen for row in samples):
-            raise ValueError(f"refused: the stack holds cell {cell}")
-        return ksg_mi(samples, k=k)
-
-    patch.setattr(experiments, "ksg_mi", recording)
-    _map_values(config, [cell])
-    patch.setattr(experiments, "ksg_mi", refusing)
-
-
 class TestGridAndMaps:
     def test_grid_centers_formula(self):
         thetas, phis = grid_centers(2, 2)
         np.testing.assert_allclose(thetas, [np.pi / 4, 3 * np.pi / 4], atol=1e-15)
         np.testing.assert_allclose(phis, [np.pi / 2, 3 * np.pi / 2], atol=1e-15)
 
-    def test_grid_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            grid_centers(0, 4)
+    @pytest.mark.parametrize("grid", [(0, 4), (2.5, 3), (3, 2.0), (True, 3), (3, np.bool_(True))])
+    def test_grid_rejects_bad_counts(self, grid):
+        # 2.5 rows used to put the last theta centre exactly on the pole
+        with pytest.raises(ValueError, match="^grid must be integers of at least 1x1"):
+            grid_centers(*grid)
+
+    def test_grid_takes_numpy_integers(self):
+        for got, want in zip(grid_centers(np.int64(3), np.int32(2)), grid_centers(3, 2)):
+            assert got.tobytes() == want.tobytes()
 
     def test_two_by_two_smoke_map(self):
         result = equilibrium_map(ExperimentConfig(
@@ -216,23 +205,15 @@ class TestGridAndMaps:
 
     @needs_fork
     @settings(max_examples=20, deadline=None)
-    @given(case=st.sampled_from(["thermo-map polar", "mi-map polar", "mi-map refused",
-                                 "mi-map refused in one share"]),
+    @given(case=st.sampled_from(["thermo-map polar", "mi-map polar", "mi-map refused"]),
            grid=st.tuples(st.integers(1, 5), st.integers(1, 3)),
-           workers=st.integers(1, len(CPUS)), data=st.data())
-    def test_workers_reproduce_the_one_worker_pass(self, case, grid, workers, data):
+           workers=st.integers(1, len(CPUS)))
+    def test_workers_reproduce_the_one_worker_pass(self, case, grid, workers):
         # equilibrium_map deals thermo-map and mi-map cells out to forked
         # workers; it must give the values and failures of one pass, bit for
-        # bit, whether ksg_mi refuses every stack (count 12, k 11) or only
-        # the one holding a chosen cell, which one worker's share holds
-        base = {"mi-map refused in one share": "mi-map polar"}.get(case, case)
-        config = _resolved(ExperimentConfig(**{**SUBSET_CASES[base], "grid": grid}))
+        # bit, with polar cells and with cells that fail the size check
+        config = _resolved(ExperimentConfig(**{**SUBSET_CASES[case], "grid": grid}))
         with pytest.MonkeyPatch.context() as patch:
-            if case.endswith("in one share"):
-                failed = {cell for cell, _ in _map_values(config)[1]}
-                started = [cell for cell in range(grid[0] * grid[1]) if cell not in failed]
-                if started:
-                    _refuse_stacks_holding(patch, config, data.draw(st.sampled_from(started)))
             one_values, one_failures = _map_values(config)
             forks = count_forks(patch)
             on_cpus(patch, workers)
@@ -247,9 +228,9 @@ class TestGridAndMaps:
         (12, 11, "need at least k + 2 = 13 samples, got 12"),
     ])
     def test_failures_keep_cell_order_and_reasons(self, count, k, reason):
-        # a failure at sampling time (count) and one at estimation time (k)
-        # interleave with the polar rows in cell order, with the messages
-        # the per-cell code gave
+        # a failure of the ensemble size (count) and one of ksg_mi's size
+        # check (k), both made per cell before the draw, interleave with the
+        # polar rows in cell order, with the messages the per-cell code gave
         result = equilibrium_map(ExperimentConfig(
             "mi-map", kappa=2.5, j=100, grid=(4, 2), count=count, k=k, window=(2, 4)
         ))
@@ -307,34 +288,43 @@ class TestGridAndMaps:
         assert values.tobytes() == per_step.tobytes()
         assert len(seen) == calls and sum(seen) == 3 * 11
 
-    def test_split_stacks_keep_the_map_refusal(self, monkeypatch, one_cpu):
-        # a stack of fewer window steps still fails every started cell with
-        # ksg_mi's message (k=11 needs 13 samples), and a refusal of only
-        # the last of three stacks fails them all as well
-        refused = _resolved(ExperimentConfig(**SUBSET_CASES["mi-map refused"]))
-        polar = _resolved(ExperimentConfig(**SUBSET_CASES["mi-map polar"]))
-        expected = _map_values(refused)
-        polar_failures = _map_values(polar)[1]
-        monkeypatch.setattr(mutual_info, "_KNN_CHUNK", 1)
-        values, failures = _map_values(refused)
-        assert values.tobytes() == expected[0].tobytes() and failures == expected[1]
-        # 4 started cells of 20: stacks of 4, 4 and 3 of the 11 window steps
-        monkeypatch.setattr(mutual_info, "_KNN_CHUNK", 4 * 4 * 20)
-        ksg, calls = experiments.ksg_mi, []
+    def test_size_refused_cells_make_no_draw_or_estimate(self, monkeypatch):
+        # count 12 is below k + 2 = 13, so every non-polar cell fails its
+        # per-cell checks and none starts: nothing is drawn or estimated
+        calls = Counter()
 
-        def refuse_third(samples, k):
-            calls.append(len(samples))
-            if len(calls) == 3:
+        def counted(name):
+            fn = getattr(experiments, name)
+            return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
+
+        for name in ("_cap_vectors", "ksg_mi"):
+            monkeypatch.setattr(experiments, name, counted(name))
+        config = _resolved(ExperimentConfig(**SUBSET_CASES["mi-map refused"]))
+        values, failures = _map_values(config)
+        assert calls == Counter() and np.all(np.isnan(values))
+        assert [cell for cell, _ in failures] == list(range(8))
+
+    @pytest.mark.parametrize("cpus, share", [
+        (1, 0), pytest.param(2, 0, marks=needs_fork), pytest.param(2, 1, marks=needs_fork),
+    ])
+    def test_a_ksg_mi_refusal_in_any_share_fails_the_run(self, monkeypatch, cpus, share):
+        # a ksg_mi ValueError other than the per-cell size check fails the
+        # whole map with its message, whether this process (share 0) or the
+        # worker (share 1) alone meets it; no worker is left behind
+        parent, ksg = os.getpid(), experiments.ksg_mi
+
+        def refusing(samples, k):
+            if (os.getpid() == parent) == (share == 0):
                 raise ValueError("samples must be finite")
             return ksg(samples, k=k)
 
-        monkeypatch.setattr(experiments, "ksg_mi", refuse_third)
-        values, failures = _map_values(polar)
-        assert calls == [16, 16, 12] and np.all(np.isnan(values))
-        started = sorted(set(range(8)) - {cell for cell, _ in polar_failures})
-        assert len(started) == 4
-        assert sorted(failures) == sorted(
-            polar_failures + [(cell, "samples must be finite") for cell in started])
+        monkeypatch.setattr(experiments, "ksg_mi", refusing)
+        on_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            equilibrium_map(ExperimentConfig(**SUBSET_CASES["mi-map polar"]))
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
 
     def test_mi_map_memory_does_not_grow_with_window_end(self, one_cpu):
         # the ensembles are stepped in place; no (steps + 1, cells * count)

@@ -1,5 +1,6 @@
 """Tests for the k-nearest-neighbour mutual information estimator."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,14 @@ class TestKsgMi:
         with pytest.raises(ValueError):
             ksg_mi(samples, k=3)
 
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            ksg_mi(gaussian_pairs(0.0, 50, seed=1), k=0)
+    @pytest.mark.parametrize("k", [0, 3.0, True, np.bool_(True), "3", None])
+    def test_rejects_bad_k(self, k):
+        # a float or bool k used to reach numpy, which raised a TypeError
+        # about partition indices
+        message = f"k must be an integer >= 1, got {k!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ksg_mi(gaussian_pairs(0.0, 50, seed=1), k=k)
+
+    def test_numpy_integer_k_has_the_bits_of_an_int(self):
+        samples = gaussian_pairs(0.3, 50, seed=1)
+        assert ksg_mi(samples, k=np.int64(3)).value == ksg_mi(samples, k=3).value
