@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import KickParams, SphericalPoint, kick_rotation, spherical_to_cartesian
+from .config import _is_int
 
 __all__ = [
     "CapDistribution",
@@ -79,48 +80,29 @@ class CapDistribution:
         return (t0 - half, t0 + half), (p0 - half, p0 + half)
 
 
-def _seed_words(value) -> list:
-    """The 32-bit words, low first, numpy's SeedSequence makes of an int or a sequence of ints."""
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-        if value < 0:
-            raise ValueError(f"seed entropy must be a non-negative integer, got {value}")
-        words = [value & 0xFFFFFFFF]
-        while value >> 32:
-            value >>= 32
-            words.append(value & 0xFFFFFFFF)
-        return words
-    if not isinstance(value, (list, tuple, range, np.ndarray)):
-        raise TypeError(f"seed must be an int, a sequence of ints or a SeedSequence, got {value!r}")
-    return [word for item in value for word in _seed_words(item)]
+def _seed_words(value: int) -> list:
+    """The 32-bit words, low first, numpy's SeedSequence makes of a non-negative int."""
+    value = int(value)
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
 
 
-def _seed_key(seed):
-    """(entropy, spawn key) of an int seed or a numpy SeedSequence.
-
-    A SeedSequence is read through its attributes, so an int seed never
-    loads numpy.random.
-    """
-    if not hasattr(seed, "spawn_key"):
-        return seed, ()
-    if seed.pool_size != 4:
-        raise ValueError(f"seed pool size must be 4, got {seed.pool_size}")
-    return seed.entropy, tuple(seed.spawn_key)
-
-
-def _seed_pools(entropy, keys, count: int) -> list:
-    """SeedSequence(entropy, spawn_key=key + (i,)).pool for each key and i < count.
+def _seed_pools(seed: int, keys, count: int) -> list:
+    """SeedSequence(seed, spawn_key=key + (i,)).pool for each key and i < count.
 
     Returns the four pool words, each a (len(keys) * count,) uint32 array
     in (key, i) order.  This is numpy's hash mix (bit_generator.pyx), run
-    on every point at once: the run entropy, padded with zeros to the pool
-    size because the spawn key is never empty, then the key's words.
-    Every point takes the same sequence of hash constants, so a point with
-    fewer words simply stops mixing early.
+    on every point at once: the seed's words, padded with zeros to the
+    pool size because the spawn key is never empty, then the words of
+    each key entry in turn.  Every point takes the same sequence of hash
+    constants, so a point with fewer words simply stops mixing early.
     """
-    run = _seed_words(entropy)
+    run = _seed_words(seed)
     run += [0] * (4 - len(run))
-    prefixes = [run + _seed_words(key) for key in keys]
+    prefixes = [run + [word for entry in key for word in _seed_words(entry)] for key in keys]
     width = max(map(len, prefixes)) + 1
     words = np.zeros((len(keys), count, width), dtype=np.uint32)
     for row, prefix in enumerate(prefixes):
@@ -162,8 +144,8 @@ def _mulhi64(x: np.ndarray, y: int) -> np.ndarray:
     return x1 * y1 + (cross1 >> 32) + (cross2 >> 32) + carry
 
 
-def _pcg_doubles(entropy, keys, count: int) -> np.ndarray:
-    """The first two random() doubles of default_rng(SeedSequence(entropy, spawn_key=key + (i,))).
+def _pcg_doubles(seed: int, keys, count: int) -> np.ndarray:
+    """The first two random() doubles of default_rng(SeedSequence(seed, spawn_key=key + (i,))).
 
     Returns a (2, len(keys), count) array: entry [d, r, i] is draw d of
     the generator of keys[r] + (i,).  Each point's PCG64 state follows
@@ -172,7 +154,7 @@ def _pcg_doubles(entropy, keys, count: int) -> np.ndarray:
     from the pool, pcg64_srandom_r's seeding, then per draw one LCG step
     and the XSL-RR output, and (next64 >> 11) * 2**-53.
     """
-    pool = _seed_pools(entropy, keys, count)
+    pool = _seed_pools(seed, keys, count)
     hash_const = 0x8B51F9DD  # INIT_B
     halves = []
     for word in range(8):
@@ -203,15 +185,21 @@ def _pcg_doubles(entropy, keys, count: int) -> np.ndarray:
     return draws.reshape(2, len(keys), count)
 
 
-def _cap_points(dists, count: int, entropy, keys) -> np.ndarray:
+def _cap_points(dists, count: int, seed: int, keys) -> np.ndarray:
     """`sample_cap` of every cap at once: (len(dists), count, 2) rows of (theta, phi).
 
-    Cap r's points come from the streams keys[r] + (i,) of `entropy`, with
-    the bits of sample_cap(dists[r], count, SeedSequence(entropy,
-    spawn_key=keys[r])).
+    Point i of cap r takes the first two uniform draws of
+    default_rng(SeedSequence(seed, spawn_key=keys[r] + (i,))).  The seed
+    and each key entry must be non-negative integers and count a positive
+    one; a bool is refused as any of them.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed entropy must be a non-negative integer, got {seed!r}")
+    for key in keys:
+        if not all(_is_int(entry) and entry >= 0 for entry in key):
+            raise ValueError(f"spawn key entries must be non-negative integers, got {key!r}")
+    if not _is_int(count) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     # (cos theta, phi) bounds of each cap, as Generator.uniform's low and high
     lows, highs = np.empty((2, 2, len(dists), 1))
     for row, dist in enumerate(dists):
@@ -219,40 +207,38 @@ def _cap_points(dists, count: int, entropy, keys) -> np.ndarray:
         lows[:, row, 0] = np.cos(t_hi), p_lo
         highs[:, row, 0] = np.cos(t_lo), p_hi
     # Generator.uniform(low, high) is low + (high - low) * random()
-    cos_theta, phi = lows + (highs - lows) * _pcg_doubles(entropy, keys, count)
+    cos_theta, phi = lows + (highs - lows) * _pcg_doubles(seed, keys, count)
     return np.stack([np.arccos(cos_theta), phi], axis=-1)
 
 
-def sample_cap(dist: CapDistribution, count: int, seed) -> np.ndarray:
+def sample_cap(dist: CapDistribution, count: int, seed: int) -> np.ndarray:
     """count area-uniform points from the patch; rows are (theta, phi).
 
-    Each point is uniform in cos(theta) and uniform in phi.  seed may be an
-    int or a numpy SeedSequence (read through its entropy and spawn_key).
-    Point i takes the first two uniform draws of its own generator,
-    default_rng(SeedSequence(entropy, spawn_key=spawn_key + (i,))), so
+    Each point is uniform in cos(theta) and uniform in phi.  seed is a
+    non-negative int.  Point i takes the first two uniform draws of its
+    own generator, default_rng(SeedSequence(seed, spawn_key=(i,))), so
     per-point draws are reproducible no matter how the ensemble is later
     chunked or parallelised.  Every point is drawn at once, by numpy's
     seeding and PCG64 algorithms run as array arithmetic, with the bits of
     those generators; no generator is built.
     """
-    entropy, key = _seed_key(seed)
-    return _cap_points([dist], count, entropy, [key])[0]
+    return _cap_points([dist], count, seed, [()])[0]
 
 
-def _cap_vectors(dists, count: int, entropy, keys) -> np.ndarray:
+def _cap_vectors(dists, count: int, seed: int, keys) -> np.ndarray:
     """`_cap_points` as (len(dists), count, 3) unit vectors."""
-    return spherical_to_cartesian(_cap_points(dists, count, entropy, keys))
+    return spherical_to_cartesian(_cap_points(dists, count, seed, keys))
 
 
-def sample_pairs(dist1: CapDistribution, dist2: CapDistribution, j, count: int, seed):
+def sample_pairs(dist1: CapDistribution, dist2: CapDistribution, j, count: int, seed: int,
+                 key: tuple = ()):
     """Initial unit vectors (n1, n2), each (count, 3), of a paired ensemble.
 
-    Subsystem i starts from an area-uniform draw of dist_i, from the child
-    stream of `seed` keyed i - 1, so reusing a SeedSequence repeats the pair.
+    Subsystem i starts from an area-uniform draw of dist_i under (seed,
+    key + (i - 1,)), so the same (seed, key) repeats the pair.
     """
     _pair_checks(j, count)
-    entropy, key = _seed_key(seed)
-    n1, n2 = _cap_vectors([dist1, dist2], count, entropy, [key + (0,), key + (1,)])
+    n1, n2 = _cap_vectors([dist1, dist2], count, seed, [key + (0,), key + (1,)])
     return n1, n2
 
 

@@ -205,9 +205,9 @@ def _mi_caps(center, spread1, j):
             CapDistribution(center=point, solid_angle=1.0 / j)]
 
 
-def _mi_start(center, spread1, j, count, seed):
-    """Initial (n1, n2) of the bipartite ensemble around `center`."""
-    return sample_pairs(*_mi_caps(center, spread1, j), j, count, seed)
+def _mi_start(center, spread1, j, count, seed, key=()):
+    """Initial (n1, n2) of the bipartite ensemble around `center`, drawn under (seed, key)."""
+    return sample_pairs(*_mi_caps(center, spread1, j), j, count, seed, key)
 
 
 def _mi_series(starts, params, j, window, k):
@@ -327,6 +327,8 @@ def _map_share(config: ExperimentConfig, cells):
     thetas, phis = grid_centers(n_theta, n_phi)
     started, starts, caps, failures = [], [], [], []
     for row, cell in enumerate(cells):
+        if not _is_int(cell):
+            raise ValueError(f"cell_index must be an integer, got {cell!r}")
         if not 0 <= cell < n_theta * n_phi:
             raise IndexError(f"cell_index {cell} out of range for {n_theta}x{n_phi}")
         center = (float(thetas[cell // n_phi]), float(phis[cell % n_phi]))
@@ -376,7 +378,8 @@ def map_cell_value(config: ExperimentConfig, cell_index: int) -> float:
     reproduces the full map's values; equilibrium_map relies on this when
     it splits a thermo-map or mi-map over worker processes.  This runs the
     full map's kernel on a one-cell list, in this process; a failed cell
-    raises ValueError with its recorded reason.
+    raises ValueError with its recorded reason.  A cell_index that is a
+    bool or not an integer raises ValueError, one out of range IndexError.
     """
     values, failures = _map_values(_resolved(config), [cell_index])
     if failures:
@@ -561,8 +564,7 @@ def _run_teq_scaling(config: ExperimentConfig) -> Dataset:
     params = KickParams(config.kappa)
     teqs = []
     for index, j in enumerate(js):
-        seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-        start = _mi_start(config.center, config.spread1, j, config.count, seed)
+        start = _mi_start(config.center, config.spread1, j, config.count, config.seed, (index,))
         mi = _mi_series([start], params, j, (0, config.steps), config.k)[0]
         teq = estimate_teq(mi).teq
         if teq == 0:

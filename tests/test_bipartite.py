@@ -21,21 +21,18 @@ from kickedtop import (
 from kickedtop.bipartite import _cap_points
 
 
-def per_point_oracle(dist, count, seed):
+def per_point_oracle(dist, count, seed, key=()):
     """sample_cap's reference: one numpy generator per point, drawn in turn.
 
     Point i takes cos(theta) and then phi, each one Generator.uniform call,
-    from default_rng(SeedSequence(entropy, spawn_key=spawn_key + (i,))).
+    from default_rng(SeedSequence(seed, spawn_key=key + (i,))).
     """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     (t_lo, t_hi), (p_lo, p_hi) = dist.bounds()
     cos_hi, cos_lo = np.cos(t_hi), np.cos(t_lo)
     cos_theta = np.empty(count)
     phi = np.empty(count)
     for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=root.entropy, spawn_key=root.spawn_key + (i,)
-        ))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (i,)))
         cos_theta[i] = rng.uniform(cos_hi, cos_lo)
         phi[i] = rng.uniform(p_lo, p_hi)
     return np.column_stack([np.arccos(cos_theta), phi])
@@ -206,10 +203,9 @@ class TestSampleCap:
 
     @settings(deadline=None, max_examples=60)
     @given(
-        entropy=st.one_of(st.sampled_from([0, 1, 7919, 2**32, 2**64]),
-                          st.integers(0, 2**31), st.integers(2**32, 2**64 - 1),
-                          st.integers(2**64, 2**130),
-                          st.lists(st.integers(0, 2**70), max_size=3)),
+        seed=st.one_of(st.sampled_from([0, 1, 7919, 2**32, 2**64]),
+                       st.integers(0, 2**31), st.integers(2**32, 2**64 - 1),
+                       st.integers(2**64, 2**130)),
         caps=st.lists(st.tuples(
             st.floats(1e-3, np.pi - 1e-3), st.floats(0.0, 2 * np.pi), st.floats(1e-9, 0.5),
             st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
@@ -217,12 +213,12 @@ class TestSampleCap:
         ), min_size=1, max_size=3),
         count=st.integers(1, 1000),
     )
-    @example(entropy=2**64 + 3, caps=[(0.02, 1.0, 1e-4, ()), (1.0, 5.0, 0.3, (2**40, 1))],
+    @example(seed=2**64 + 3, caps=[(0.02, 1.0, 1e-4, ()), (1.0, 5.0, 0.3, (2**40, 1))],
              count=1000)
-    def test_matches_per_point_generators(self, entropy, caps, count):
-        # a cap within 0.02 rad of a pole, entropy of one to five 32-bit
-        # words or a list of ints, spawn keys empty or with elements of two
-        # or three words, and caps whose keys differ in length drawn together
+    def test_matches_per_point_generators(self, seed, caps, count):
+        # a cap within 0.02 rad of a pole, seeds of one to five 32-bit
+        # words, spawn keys empty or with entries of two or three words,
+        # and caps whose keys differ in length drawn together
         dists = []
         for theta, phi, solid_angle, _ in caps:
             try:
@@ -230,31 +226,45 @@ class TestSampleCap:
             except ValueError:
                 assume(False)
         keys = [key for *_, key in caps]
-        drawn = _cap_points(dists, count, entropy, keys)
+        drawn = _cap_points(dists, count, seed, keys)
         for dist, key, points in zip(dists, keys, drawn, strict=True):
-            seed = np.random.SeedSequence(entropy, spawn_key=key)
-            expected = per_point_oracle(dist, count, seed)
+            expected = per_point_oracle(dist, count, seed, key)
             np.testing.assert_array_equal(points, expected)
-            np.testing.assert_array_equal(sample_cap(dist, count, seed), expected)
-        if not keys[0]:
-            np.testing.assert_array_equal(sample_cap(dists[0], count, entropy), drawn[0])
+            if not key:
+                np.testing.assert_array_equal(sample_cap(dist, count, seed), expected)
+        if count >= 8 and len(dists) >= 2:
+            # subsystem i of the pair comes from the streams of key + (i - 1,)
+            pair = sample_pairs(dists[0], dists[1], 1, count, seed, keys[0])
+            for i, vectors in enumerate(pair):
+                np.testing.assert_array_equal(vectors, spherical_to_cartesian(
+                    per_point_oracle(dists[i], count, seed, keys[0] + (i,))))
 
-    @pytest.mark.parametrize("root", [np.random.SeedSequence(11, spawn_key=(4,)),
-                                      np.random.SeedSequence(2**64 + 1)], ids=["keyed", "root"])
-    def test_spawned_children_match_per_point_generators(self, root):
-        dist = CapDistribution(center=SphericalPoint(2.0, 5.0), solid_angle=0.3)
-        for child in root.spawn(2):
-            np.testing.assert_array_equal(sample_cap(dist, 40, child),
-                                          per_point_oracle(dist, 40, child))
-
-    @pytest.mark.parametrize("seed, message", [
-        (-1, "seed entropy must be a non-negative integer, got -1"),
-        (np.random.SeedSequence(3, spawn_key=(2,), pool_size=8), "seed pool size must be 4, got 8"),
-    ], ids=["negative", "pool-size-8"])
-    def test_rejects_seeds_it_cannot_reproduce(self, seed, message):
+    @pytest.mark.parametrize("count, seed, key, message", [
+        (5, -1, (), "seed entropy must be a non-negative integer, got -1"),
+        (5, True, (), "seed entropy must be a non-negative integer, got True"),
+        (5, 2.0, (), "seed entropy must be a non-negative integer, got 2.0"),
+        (5, 3, (False,), r"spawn key entries must be non-negative integers, got \(False,\)"),
+        (5, 3, (1.5,), r"spawn key entries must be non-negative integers, got \(1.5,\)"),
+        (5, 3, (2, -1), r"spawn key entries must be non-negative integers, got \(2, -1\)"),
+        (True, 3, (), "count must be an integer >= 1, got True"),
+        (2.5, 3, (), "count must be an integer >= 1, got 2.5"),
+    ], ids=["negative", "bool-seed", "float-seed", "bool-key", "float-key", "negative-key",
+            "bool-count", "float-count"])
+    def test_rejects_seeds_it_cannot_reproduce(self, count, seed, key, message):
+        # a bool would otherwise draw as seed or count 1, and a float count
+        # would reach numpy's TypeError
         dist = CapDistribution(center=SphericalPoint(1.0, 1.0), solid_angle=0.1)
-        with pytest.raises(ValueError, match=message):
-            sample_cap(dist, 5, seed)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _cap_points([dist], count, seed, [key])
+        if not key:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sample_cap(dist, count, seed)
+
+    def test_accepts_numpy_integers(self):
+        dist = CapDistribution(center=SphericalPoint(1.0, 1.0), solid_angle=0.1)
+        np.testing.assert_array_equal(
+            _cap_points([dist], np.int64(6), np.int64(3), [(np.int64(2), np.uint32(1))]),
+            _cap_points([dist], 6, 3, [(2, 1)]))
 
 
 class TestEvolveEnsemble:
@@ -307,18 +317,13 @@ class TestEvolveEnsemble:
             np.testing.assert_array_equal(xs, expected[t])
         assert t == 2000
 
-    def test_reused_seed_sequence_repeats_the_pair(self):
-        # the two draws come from the children with spawn keys 0 and 1, not
-        # from SeedSequence.spawn, which advances the root's spawn counter;
-        # for a fresh root they are the children spawn(2) would give
+    def test_same_seed_and_key_repeat_the_pair(self):
+        # the two draws are the caps of (seed, key + (0,)) and (seed, key + (1,))
         dists = self.default_dists()
-        root = np.random.SeedSequence(5, spawn_key=(2,))
-        first = sample_pairs(*dists, 100, 8, root)
-        again = sample_pairs(*dists, 100, 8, root)
-        children = np.random.SeedSequence(5, spawn_key=(2,)).spawn(2)
-        spawned = [spherical_to_cartesian(sample_cap(dist, 8, child))
-                   for dist, child in zip(dists, children)]
-        for drawn, repeat, expected in zip(first, again, spawned, strict=True):
+        first = sample_pairs(*dists, 100, 8, 5, (2,))
+        again = sample_pairs(*dists, 100, 8, 5, (2,))
+        keyed = spherical_to_cartesian(_cap_points(dists, 8, 5, [(2, 0), (2, 1)]))
+        for drawn, repeat, expected in zip(first, again, keyed, strict=True):
             np.testing.assert_array_equal(drawn, repeat)
             np.testing.assert_array_equal(drawn, expected)
 

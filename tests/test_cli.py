@@ -481,9 +481,9 @@ def test_no_run_imports_scipy(tmp_path):
     # importing scipy costs about 0.4 s and 35 MB; the package needs none of
     # it, so neither the import nor a run of any kind may load a scipy module.
     # The worker processes are plain forks: no multiprocessing or
-    # concurrent.futures either.  A kind that takes no seed does not load
-    # numpy.random (about 11 ms of import and 6 MB), and neither do the
-    # seeded map kinds, which draw their caps without numpy's generators.
+    # concurrent.futures either.  No kind but mi-selftest loads numpy.random
+    # (about 11 ms of import and 6 MB): the seeded kinds draw their caps
+    # from (seed, key) pairs without numpy's generators.
     child = """
 import json, sys
 def scipy_modules():
@@ -501,18 +501,15 @@ for argv in (
     ["vn-vs-linear"],
     ["thermo-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "8", "--window", "1", "2"],
     ["mi-map", "--kappa", "2.5", "--grid", "3", "2", "--count", "20", "--window", "1", "2"],
-):
-    assert main(argv + ["--out", out]) == 0, argv
-unseeded_random = "numpy.random" in sys.modules
-for argv in (
     ["mi-dynamics", "--kappa", "2.5", "--j", "10", "--count", "20", "--steps", "3"],
     ["teq-scaling", "--kappa", "2.5", "--j-list", "5", "10", "--count", "20", "--steps", "30"],
-    ["mi-selftest", "--count", "50"],
 ):
     assert main(argv + ["--out", out]) == 0, argv
+random_before_selftest = "numpy.random" in sys.modules
+assert main(["mi-selftest", "--count", "50", "--out", out]) == 0
 import numpy as np
 kickedtop.ksg_mi(np.random.default_rng(0).normal(size=(50, 2)))
-print(json.dumps({"on_import": on_import, "numpy.random after unseeded runs": unseeded_random,
+print(json.dumps({"on_import": on_import, "numpy.random before mi-selftest": random_before_selftest,
                   "after_runs": scipy_modules()}))
 """
     src = Path(kickedtop.__file__).resolve().parents[1]
@@ -522,7 +519,7 @@ print(json.dumps({"on_import": on_import, "numpy.random after unseeded runs": un
         capture_output=True, text=True, timeout=120, check=True,
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {"on_import": [], "numpy.random after unseeded runs": False,
+    assert loaded == {"on_import": [], "numpy.random before mi-selftest": False,
                       "after_runs": []}
 
 

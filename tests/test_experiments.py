@@ -381,6 +381,14 @@ class TestGridAndMaps:
             map_cell_value(ExperimentConfig("entropy-map", kappa=1.0, j=4, grid=(2, 2),
                                             window=(5, 15)), 9)
 
+    @pytest.mark.parametrize("cell", [True, 1.0, 1.5, "1"])
+    def test_map_cell_refuses_bools_and_non_integers(self, cell):
+        # True would otherwise run cell 1, and a float would reach numpy's IndexError
+        config = ExperimentConfig("entropy-map", kappa=1.0, j=4, grid=(2, 2), window=(5, 15))
+        with pytest.raises(ValueError, match=f"^cell_index must be an integer, got {cell!r}$"):
+            map_cell_value(config, cell)
+        assert map_cell_value(config, np.int64(1)) == map_cell_value(config, 1)
+
     @pytest.mark.parametrize("kind, j, grid, calls", [
         # every started cell steps through one stacked kernel call
         ("entropy-map", 4, (2, 2), {"coherent_state": 4, "floquet_unitary": 1,
